@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fit"
 	"repro/internal/machine"
@@ -212,8 +213,9 @@ type calTriple struct {
 }
 
 type calEntry struct {
-	once sync.Once
-	expr fit.Expression
+	once  sync.Once
+	expr  fit.Expression
+	ready atomic.Bool // expr is set; Precalibrate's warm check reads it
 }
 
 // Triple identifies one calibration unit for Precalibrate. Alg may be
@@ -276,10 +278,7 @@ func (c *Calibrated) Estimate(_ context.Context, mach *machine.Machine, op machi
 // "default" alias (or an empty name) resolves to the machine's vendor
 // table entry, sharing that variant's calibration.
 func (c *Calibrated) Expression(mach *machine.Machine, op machine.Op, alg string) fit.Expression {
-	if alg == "" || alg == defaultAlg {
-		alg = mpi.DefaultAlgorithms(mach).Get(op)
-	}
-	k := calTriple{mach.Name(), op, alg}
+	k := Triple{mach, op, alg}.key()
 	c.mu.Lock()
 	if c.cal == nil {
 		c.cal = map[calTriple]*calEntry{}
@@ -290,7 +289,10 @@ func (c *Calibrated) Expression(mach *machine.Machine, op machine.Op, alg string
 		c.cal[k] = entry
 	}
 	c.mu.Unlock()
-	entry.once.Do(func() { entry.expr = c.calibrate(mach, op, alg) })
+	entry.once.Do(func() {
+		entry.expr = c.calibrate(mach, op, k.alg)
+		entry.ready.Store(true)
+	})
 	return entry.expr
 }
 
@@ -298,21 +300,21 @@ func (c *Calibrated) Expression(mach *machine.Machine, op machine.Op, alg string
 // resolution) through a bounded worker pool, so a sweep's cold
 // calibration runs concurrently instead of triple by triple on first
 // touch. workers ≤ 0 uses c.Workers, then GOMAXPROCS. Safe to call
-// repeatedly; already-calibrated triples cost nothing.
+// repeatedly: when every triple is already fitted — the warm serving
+// path, once per batched request — it returns without building a pool.
 func (c *Calibrated) Precalibrate(triples []Triple, workers int) {
+	if c.fitted(triples) {
+		return
+	}
 	seen := map[calTriple]bool{}
 	work := make([]Triple, 0, len(triples))
 	for _, tr := range triples {
-		alg := tr.Alg
-		if alg == "" || alg == defaultAlg {
-			alg = mpi.DefaultAlgorithms(tr.Machine).Get(tr.Op)
-		}
-		k := calTriple{tr.Machine.Name(), tr.Op, alg}
+		k := tr.key()
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		work = append(work, Triple{tr.Machine, tr.Op, alg})
+		work = append(work, Triple{tr.Machine, tr.Op, k.alg})
 	}
 	if workers <= 0 {
 		workers = c.Workers
@@ -345,6 +347,27 @@ func (c *Calibrated) Precalibrate(triples []Triple, workers int) {
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// fitted reports whether every triple's expression already exists.
+func (c *Calibrated) fitted(triples []Triple) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, tr := range triples {
+		if e, ok := c.cal[tr.key()]; !ok || !e.ready.Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// key is the triple's calibration unit, the default alias resolved.
+func (tr Triple) key() calTriple {
+	alg := tr.Alg
+	if alg == "" || alg == defaultAlg {
+		alg = mpi.DefaultAlgorithms(tr.Machine).Get(tr.Op)
+	}
+	return calTriple{tr.Machine.Name(), tr.Op, alg}
 }
 
 // Predictor calibrates every (machine, op) with the vendor-default

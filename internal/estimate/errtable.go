@@ -1,9 +1,13 @@
 package estimate
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 
 	"repro/internal/machine"
 )
@@ -24,8 +28,33 @@ type ErrorTable struct {
 	Backend    string `json:"backend"`
 	Provenance string `json:"provenance"`
 	// Cells are sorted by (machine, op, m) so the table serializes
-	// deterministically.
+	// deterministically and lookups can binary-search it (see Sort).
 	Cells []ErrorCell `json:"cells"`
+
+	// sorted records that Sort has put Cells in order.
+	sorted bool
+}
+
+// Sort puts Cells in (machine, op, m) order, a no-op on a table that
+// already is, and marks the table so Bound and BoundIn search Cells in
+// place. Call it once after building or loading a table, before
+// serving from it, and again after any edit to Cells. A table never
+// sorted still answers correctly, from a sorted copy per lookup.
+func (t *ErrorTable) Sort() {
+	if !slices.IsSortedFunc(t.Cells, compareCells) {
+		slices.SortStableFunc(t.Cells, compareCells)
+	}
+	t.sorted = true
+}
+
+func compareCells(a, b ErrorCell) int {
+	if c := strings.Compare(a.Machine, b.Machine); c != 0 {
+		return c
+	}
+	if c := strings.Compare(string(a.Op), string(b.Op)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.M, b.M)
 }
 
 // ErrorCell is one (machine, op, m) slice of a validation: the relative
@@ -66,28 +95,38 @@ func (t *ErrorTable) BoundIn(mach string, op machine.Op, m, lo, hi int) (ErrorCe
 	return t.Bound(mach, op, m)
 }
 
-// nearest is the one nearest-cell scan behind Bound and BoundIn: the
+// nearest is the one nearest-cell lookup behind Bound and BoundIn: the
 // exact cell when a validated length in [lo, hi] matches m, otherwise
-// the in-range cell with the nearest length on a log scale.
+// the in-range cell with the nearest length on a log scale, the shorter
+// one on a tie. Two binary searches bound the (machine, op) row's cells
+// in [lo, hi] and a third places m among them; by monotonicity of the
+// log the nearest cell is one of m's two neighbours.
 func (t *ErrorTable) nearest(mach string, op machine.Op, m, lo, hi int) (ErrorCell, bool) {
 	if t == nil {
 		return ErrorCell{}, false
 	}
-	var best ErrorCell
-	bestDist := math.Inf(1)
-	found := false
-	for _, c := range t.Cells {
-		if c.Machine != mach || c.Op != op || c.M < lo || c.M > hi {
-			continue
-		}
-		if c.M == m {
-			return c, true
-		}
-		if d := logDist(c.M, m); d < bestDist {
-			best, bestDist, found = c, d, true
-		}
+	cells := t.Cells
+	if !t.sorted {
+		cells = slices.Clone(cells)
+		slices.SortStableFunc(cells, compareCells)
 	}
-	return best, found
+	first, last := ErrorCell{Machine: mach, Op: op, M: lo}, ErrorCell{Machine: mach, Op: op, M: hi}
+	i := sort.Search(len(cells), func(k int) bool { return compareCells(cells[k], first) >= 0 })
+	j := sort.Search(len(cells), func(k int) bool { return compareCells(cells[k], last) > 0 })
+	if i >= j {
+		return ErrorCell{}, false
+	}
+	row := cells[i:j]
+	k := sort.Search(len(row), func(k int) bool { return row[k].M >= m })
+	switch {
+	case k == len(row):
+		return row[k-1], true
+	case row[k].M == m || k == 0:
+		return row[k], true
+	case logDist(row[k].M, m) < logDist(row[k-1].M, m):
+		return row[k], true
+	}
+	return row[k-1], true
 }
 
 // logDist measures how far apart two message lengths are on a log

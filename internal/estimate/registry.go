@@ -69,8 +69,17 @@ type Entry struct {
 	// is answered in closed form, never by fallback.
 	Ranges func(mach *machine.Machine, op machine.Op) (Range, bool)
 
-	epochOnce sync.Once
-	epoch     string
+	identOnce  sync.Once
+	provenance string
+	epoch      string
+}
+
+// Provenance is the backend's provenance, computed once: a calibrated
+// backend hashes its whole calibration spec per call, and the serving
+// layer stamps the provenance on every response.
+func (e *Entry) Provenance() string {
+	e.identify()
+	return e.provenance
 }
 
 // Epoch is the entry's answer-identity: backend name plus provenance,
@@ -82,10 +91,15 @@ type Entry struct {
 // recalibrated backend is a new epoch, and stale answers simply stop
 // being found.
 func (e *Entry) Epoch() string {
-	e.epochOnce.Do(func() {
-		e.epoch = e.Backend.Name() + "\x00" + e.Backend.Provenance()
-	})
+	e.identify()
 	return e.epoch
+}
+
+func (e *Entry) identify() {
+	e.identOnce.Do(func() {
+		e.provenance = e.Backend.Provenance()
+		e.epoch = e.Backend.Name() + "\x00" + e.provenance
+	})
 }
 
 // Covers reports whether (mach, op, p, m) lies inside the entry's

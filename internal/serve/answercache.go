@@ -33,42 +33,57 @@ type AnswerCache struct {
 	perShard int
 }
 
-const acShards = 16
+const (
+	acShardBits = 4
+	acShards    = 1 << acShardBits
+)
 
 // acKey identifies one cacheable answer. Every component that could
 // change the answer is in the key: the entry's epoch + config digest
-// (interned to a small id — see epochID — so the hot hit path never
-// hashes the long provenance strings), the machine's calibration
-// fingerprint (which doubles as the machine identity: it hashes the
-// full parameter set, so no separate name is needed), and the resolved
-// scenario. alg is the resolved name ("default" normalized), so the
-// alias and its eponymous variant cache separately — same behavior as
-// the serving path, which resolves before answering.
+// and the scenario's triple, each interned to a small id (see
+// interner) so the hot hit path never hashes a string, plus the
+// resolved coordinates. The triple id stands for the machine's
+// calibration fingerprint (which doubles as the machine identity: it
+// hashes the full parameter set, so no separate name is needed), the
+// op, and the resolved algorithm name ("default" kept), so the alias
+// and its eponymous variant cache separately — same behavior as the
+// serving path, which resolves before answering.
 type acKey struct {
-	eid  uint64 // interned epoch, from epochID
-	fp   string // estimate.CachedFingerprint of the machine
-	op   machine.Op
-	alg  string
+	eid  uint64 // interned epoch, from epochIDs
+	tid  uint64 // interned triple, from tripleIDs
 	p, m int
 }
 
-// epochIDs interns epoch strings (entry provenance + server config
-// digest) to small ids, so per-scenario cache keys carry 8 bytes
-// instead of a few hundred. Identical epochs — two entries over the
-// same calibration — intern to the same id and therefore share
-// answers; a recalibrated backend is a new string, hence a new id.
-var (
-	epochIDs sync.Map // string → uint64
-	epochSeq atomic.Uint64
-)
+// tripleIdent is a triple's answer identity, before interning.
+type tripleIdent struct {
+	fp  string // estimate.CachedFingerprint of the machine
+	op  machine.Op
+	alg string
+}
 
-func epochID(epoch string) uint64 {
-	if v, ok := epochIDs.Load(epoch); ok {
+// interner maps keys to small process-wide ids. Epoch strings (entry
+// provenance + server config digest) and triple identities intern
+// here, so cache keys carry 8 bytes per component instead of a few
+// hundred. Equal keys intern to the same id whichever server or entry
+// asks — two entries over the same calibration share answers — while a
+// recalibrated backend is a new epoch string, hence a new id.
+type interner[K comparable] struct {
+	ids sync.Map // K → uint64
+	seq atomic.Uint64
+}
+
+func (in *interner[K]) id(k K) uint64 {
+	if v, ok := in.ids.Load(k); ok {
 		return v.(uint64)
 	}
-	v, _ := epochIDs.LoadOrStore(epoch, epochSeq.Add(1))
+	v, _ := in.ids.LoadOrStore(k, in.seq.Add(1))
 	return v.(uint64)
 }
+
+var (
+	epochIDs  interner[string]
+	tripleIDs interner[tripleIdent]
+)
 
 // acEntry is one cached (or in-flight) answer; once gives cold keys
 // their single flight, done marks the answer as materialized (eviction
@@ -173,22 +188,14 @@ func (c *AnswerCache) forget(k acKey, e *acEntry) {
 	sh.mu.Unlock()
 }
 
-// shard hashes the key's scenario coordinates (FNV-1a). The epoch id
-// is near-constant across a request stream and the fingerprint tracks
-// the few machine presets, so neither is worth hashing here — op, alg,
-// p, m spread the grid fine across 16 shards.
+// shard picks a key's shard from the top bits of a multiplicative
+// (Fibonacci) hash of the triple id and coordinates: the product's low
+// bits would depend only on the inputs' low bits, which power-of-two
+// message lengths leave zero. The epoch id is near-constant across a
+// request stream, so it is not hashed.
 func (c *AnswerCache) shard(k *acKey) uint32 {
-	const prime = 16777619
-	h := uint32(2166136261)
-	for i := 0; i < len(k.op); i++ {
-		h = (h ^ uint32(k.op[i])) * prime
-	}
-	for i := 0; i < len(k.alg); i++ {
-		h = (h ^ uint32(k.alg[i])) * prime
-	}
-	h = (h ^ uint32(k.p)) * prime
-	h = (h ^ uint32(k.m)) * prime
-	return h % acShards
+	h := (k.tid<<48 ^ uint64(k.p)<<32 ^ uint64(k.m)) * 0x9E3779B97F4A7C15
+	return uint32(h >> (64 - acShardBits))
 }
 
 // evictLocked frees one slot: a second-chance sweep in map order

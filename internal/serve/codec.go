@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/estimate"
 	"repro/internal/serve/wire"
 )
 
@@ -114,34 +115,6 @@ func WriteNDJSONAnswers(w http.ResponseWriter, answers []Answer) {
 	w.Write(buf.Bytes())
 }
 
-// resolveWire binds a decoded binary request into res. Each distinct
-// (machine, op, algorithm) index triple is resolved once per request
-// through the scratch memo — the point of the string table — and every
-// record then pays only the (p, m) validation.
-func (s *Server) resolveWire(req *wire.Request, scr *scratch, res []resolved) error {
-	clear(scr.triples)
-	for i, rec := range req.Records {
-		tk := uint64(rec.Mach)<<42 | uint64(rec.Op)<<21 | uint64(rec.Alg)
-		base, ok := scr.triples[tk]
-		if !ok {
-			var err error
-			base, err = s.resolveTriple(req.Table[rec.Mach], req.Table[rec.Op], req.Table[rec.Alg])
-			if err != nil {
-				return fmt.Errorf("scenario %d (%s/%s): %w",
-					i, req.Table[rec.Mach], req.Table[rec.Op], err)
-			}
-			scr.triples[tk] = base
-		}
-		rs := base
-		if err := s.checkPM(&rs, rec.P, rec.M); err != nil {
-			return fmt.Errorf("scenario %d (%s/%s): %w",
-				i, req.Table[rec.Mach], req.Table[rec.Op], err)
-		}
-		res[i] = rs
-	}
-	return nil
-}
-
 // writeWire encodes the binary response into the scratch buffer (grown
 // once, reused across requests) and writes it in one call.
 func writeWire(w http.ResponseWriter, scr *scratch, registry, backend, provenance string, answers []Answer) {
@@ -187,23 +160,27 @@ func putBuffer(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// scratch is the per-request working set — resolved scenarios,
-// answers, cache verdicts, the decoded binary frame, and the binary
-// encode buffer — pooled so a steady request stream stops allocating
-// per request on every codec path. Slices are resliced and fully
-// overwritten each use.
+// scratch is the per-request working set — the grouped batch (items,
+// groups, and the lookups that build them), answers, cache verdicts,
+// the decoded binary frame, and the binary encode buffer — pooled so a
+// steady request stream stops allocating per request on every codec
+// path. Slices are resliced and fully overwritten each use.
 type scratch struct {
-	res     []resolved
+	items   []item
+	groups  []group
+	byID    map[uint64]int32 // binding id → group index
+	byWire  map[uint64]int32 // binary string-table index triple → group index
+	triples []estimate.Triple
+	fb      []int32 // indexes of the fallback items
 	answers []Answer
 	cres    []uint8
 	errs    []error
 	wreq    wire.Request
 	wbuf    []byte
-	triples map[uint64]resolved
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{triples: make(map[uint64]resolved)}
+	return &scratch{byID: make(map[uint64]int32), byWire: make(map[uint64]int32)}
 }}
 
 func getScratch() *scratch {
@@ -211,18 +188,21 @@ func getScratch() *scratch {
 }
 
 func putScratch(s *scratch) {
-	if cap(s.res) > 1<<16 { // a pathological one-off batch shouldn't pin its arena
+	if cap(s.items) > 1<<16 { // a pathological one-off batch shouldn't pin its arena
 		return
 	}
 	scratchPool.Put(s)
 }
 
-func (s *scratch) resolvedSlice(n int) []resolved {
-	if cap(s.res) < n {
-		s.res = make([]resolved, n)
+// reset empties the batch for a request of n scenarios.
+func (s *scratch) reset(n int) {
+	if cap(s.items) < n {
+		s.items = make([]item, 0, n)
 	}
-	s.res = s.res[:n]
-	return s.res
+	s.items = s.items[:0]
+	s.groups = s.groups[:0]
+	clear(s.byID)
+	clear(s.byWire)
 }
 
 func (s *scratch) answerSlice(n int) []Answer {

@@ -205,7 +205,7 @@ type Server struct {
 	// request's cost. The valid-triple space is small and fixed, so the
 	// cache is naturally bounded; failed resolutions are not cached.
 	triplesMu sync.RWMutex
-	triples   map[tripleKey]resolved
+	triples   map[tripleKey]*binding
 }
 
 // tripleKey names one (machine, op, algorithm) binding, pre-resolution.
@@ -343,23 +343,6 @@ func (s *Server) maxMessage() int {
 		return 16 << 20
 	}
 	return s.MaxMessage
-}
-
-// resolved is a validated scenario, every name bound to its object,
-// with the entry's fallback decision computed once up front.
-type resolved struct {
-	mach *machine.Machine
-	op   machine.Op
-	alg  string // "default" or a registry variant, validated
-	algs mpi.Algorithms
-	p, m int
-	// fallback, fbKind, and fallbackReason record whether the exact
-	// simulator must answer (outside the calibrated envelope, an
-	// unfitted pair, or a variant the expression set cannot
-	// distinguish) — the kind for metrics, the reason for the answer.
-	fallback       bool
-	fbKind         fallbackKind
-	fallbackReason string
 }
 
 // handleEstimate answers POST /v1/estimate. The admission gate runs
@@ -559,7 +542,7 @@ func setProvenance(w http.ResponseWriter, e *estimate.Entry) {
 	h := w.Header()
 	h.Set("X-Estimate-Registry", e.Name)
 	h.Set("X-Estimate-Backend", e.Backend.Name())
-	h.Set("X-Estimate-Provenance", e.Backend.Provenance())
+	h.Set("X-Estimate-Provenance", e.Provenance())
 }
 
 // serveEstimate does the work of POST /v1/estimate and reports the
@@ -650,21 +633,14 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 		return fail(http.StatusBadRequest,
 			fmt.Errorf("%d scenarios exceed the batch cap of %d", n, s.maxBatch()))
 	}
-	res := scr.resolvedSlice(n)
+	scr.reset(n)
 	if codec == CodecBinary {
-		if err := s.resolveWire(&scr.wreq, scr, res); err != nil {
-			return fail(http.StatusBadRequest, err)
-		}
+		err = s.resolveWire(entry, &scr.wreq, scr)
 	} else {
-		for i, sc := range scns {
-			if res[i], err = s.resolve(sc); err != nil {
-				return fail(http.StatusBadRequest, fmt.Errorf("scenario %d (%s/%s): %w", i, sc.Machine, sc.Op, err))
-			}
-		}
+		err = s.resolveScenarios(entry, scns, scr)
 	}
-	for i := range res {
-		res[i].fallbackReason, res[i].fbKind = fallbackReason(entry, res[i])
-		res[i].fallback = res[i].fbKind != fbNone
+	if err != nil {
+		return fail(http.StatusBadRequest, err)
 	}
 	tm.mark(obs.StageResolve)
 
@@ -672,51 +648,31 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Bulk-calibrate the in-envelope triples of a calibrated entry
-	// before fanning out, so a cold batch parallelizes its calibration
-	// across triples instead of behind first-touch scenario workers.
-	if cal, ok := entry.Backend.(*estimate.Calibrated); ok {
-		var triples []estimate.Triple
-		for _, rs := range res {
-			if !rs.fallback {
-				triples = append(triples, estimate.Triple{Machine: rs.mach, Op: rs.op, Alg: rs.alg})
-			}
-		}
-		cal.Precalibrate(triples, workers)
-	}
+	scr.calibrate(entry, workers)
 	tm.mark(obs.StageCalibrate)
 
 	var epoch uint64
 	if s.Cache != nil {
 		epoch = s.entryEpoch(entry)
 	}
-	answers := scr.answerSlice(len(res))
-	cres := scr.cacheSlice(len(res))
-	errs := scr.errSlice(len(res))
-	if len(res) == 1 {
-		// The common single-scenario request skips the pool and its
-		// worker closures entirely.
-		wt := workerTimer{tr: tr, base: tm.base}
-		answers[0], cres[0], errs[0] = s.answerCached(ctx, entry, epoch, res[0], &wt)
-		wt.flush()
-	} else {
-		fanOut(workers, len(res), func() (func(int), func()) {
-			wt := &workerTimer{tr: tr, base: tm.base}
-			return func(i int) { answers[i], cres[i], errs[i] = s.answerCached(ctx, entry, epoch, res[i], wt) }, wt.flush
-		})
-	}
+	items := scr.items
+	answers := scr.answerSlice(n)
+	cres := scr.cacheSlice(n)
+	errs := scr.errSlice(n)
+	s.dispatch(ctx, entry, epoch, scr, workers, tr, tm.base, answers, cres, errs)
 	tm.skip()
 
-	st.scenarios = len(res)
+	st.scenarios = n
 	var scErr error
-	for i := range res {
+	for i, it := range items {
 		if errs[i] != nil && scErr == nil {
+			g := &scr.groups[it.g]
 			scErr = fmt.Errorf("scenario %d (%s/%s p=%d m=%d): %w",
-				i, res[i].mach.Name(), res[i].op, res[i].p, res[i].m, errs[i])
+				i, g.mach.Name(), g.op, it.p, it.m, errs[i])
 		}
-		if res[i].fallback {
+		if it.kind != fbNone {
 			st.fallbacks++
-			st.kinds[res[i].fbKind]++
+			st.kinds[it.kind]++
 		}
 		if answers[i].FallbackReason == reasonDegraded {
 			st.degraded++
@@ -749,12 +705,12 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	case CodecNDJSON:
 		WriteNDJSONAnswers(w, answers)
 	case CodecBinary:
-		writeWire(w, scr, entry.Name, entry.Backend.Name(), entry.Backend.Provenance(), answers)
+		writeWire(w, scr, entry.Name, entry.Backend.Name(), entry.Provenance(), answers)
 	default:
 		resp := Response{
 			Registry:   entry.Name,
 			Backend:    entry.Backend.Name(),
-			Provenance: entry.Backend.Provenance(),
+			Provenance: entry.Provenance(),
 			Answers:    answers,
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -779,7 +735,7 @@ func cacheVerdict(c *AnswerCache, st reqStats) string {
 
 // entryEpoch returns the answer-cache epoch id for one registry entry:
 // Entry.Epoch (backend + provenance) extended with this server's
-// fallback-methodology digest, interned to a small id (see epochID)
+// fallback-methodology digest, interned to a small id (see interner)
 // and memoized per entry.
 func (s *Server) entryEpoch(e *estimate.Entry) uint64 {
 	if ep, ok := s.epochs.Load(e); ok {
@@ -796,7 +752,7 @@ func (s *Server) entryEpoch(e *estimate.Entry) uint64 {
 		sim := s.simBackend()
 		s.cfgDigest = string(blob) + "\x00" + sim.Name() + "\x00" + sim.Provenance()
 	})
-	ep := epochID(e.Epoch() + "\x00" + s.cfgDigest)
+	ep := epochIDs.id(e.Epoch() + "\x00" + s.cfgDigest)
 	s.epochs.Store(e, ep)
 	return ep
 }
@@ -817,15 +773,12 @@ const (
 // waiters sharing it see the same outcome, but the next request retries
 // (or gets the real answer once the pressure is off) instead of being
 // served a poisoned slot forever.
-func (s *Server) answerCached(ctx context.Context, entry *estimate.Entry, epoch uint64, rs resolved, wt *workerTimer) (Answer, uint8, error) {
+func (s *Server) answerCached(ctx context.Context, entry *estimate.Entry, epoch uint64, g *group, it item, wt *workerTimer) (Answer, uint8, error) {
 	if s.Cache == nil {
-		a, err := s.answerSafe(ctx, entry, rs, wt)
+		a, err := s.answerSafe(ctx, entry, g, it, wt)
 		return a, cacheBypass, err
 	}
-	k := acKey{
-		eid: epoch, fp: estimate.CachedFingerprint(rs.mach),
-		op: rs.op, alg: rs.alg, p: rs.p, m: rs.m,
-	}
+	k := acKey{eid: epoch, tid: g.id, p: it.p, m: it.m}
 	e, created := s.Cache.get(k)
 	if !created && e.done.Load() {
 		// The steady-state hit: the answer exists, so skip once.Do —
@@ -837,7 +790,7 @@ func (s *Server) answerCached(ctx context.Context, entry *estimate.Entry, epoch 
 	// lives inside answerSafe, not around the Do: a panic escaping the
 	// Do fn would mark the once consumed and poison the entry.
 	e.once.Do(func() {
-		e.ans, e.err = s.answerSafe(ctx, entry, rs, wt)
+		e.ans, e.err = s.answerSafe(ctx, entry, g, it, wt)
 		e.done.Store(true)
 		if e.err != nil || e.ans.FallbackReason == reasonDegraded {
 			s.Cache.forget(k, e)
@@ -876,78 +829,68 @@ func ParseJSONRequest(body []byte) (registry string, scns []Scenario, err error)
 	return req.Registry, scns, nil
 }
 
-// resolve validates one scenario and binds its names.
-func (s *Server) resolve(sc Scenario) (resolved, error) {
-	rs, err := s.resolveTriple(sc.Machine, sc.Op, sc.Algorithm)
-	if err != nil {
-		return resolved{}, err
-	}
-	if err := s.checkPM(&rs, sc.P, sc.M); err != nil {
-		return resolved{}, err
-	}
-	return rs, nil
-}
-
 // resolveTriple binds the name part of a scenario — machine, operation,
-// algorithm, and the algorithm table the estimate runs under —
-// memoized across requests (the triple space is small and fixed; see
-// Server.triples). The returned base shares its machine and algorithm
-// table between scenarios, which is safe: both are read-only after
-// construction.
-func (s *Server) resolveTriple(machName, opName, algName string) (resolved, error) {
+// algorithm, the algorithm table the estimate runs under, and the
+// answer-cache triple id — memoized across requests (the triple space
+// is small and fixed; see Server.triples). A binding shares its machine
+// and algorithm table between scenarios, which is safe: both are
+// read-only after construction.
+func (s *Server) resolveTriple(machName, opName, algName string) (*binding, error) {
 	k := tripleKey{machName, opName, algName}
 	s.triplesMu.RLock()
-	rs, ok := s.triples[k]
+	b, ok := s.triples[k]
 	s.triplesMu.RUnlock()
 	if ok {
-		return rs, nil
+		return b, nil
 	}
 	mach, err := estimate.ResolveMachine(machName)
 	if err != nil {
-		return resolved{}, err
+		return nil, err
 	}
 	op, err := estimate.ResolveOp(opName)
 	if err != nil {
-		return resolved{}, err
+		return nil, err
 	}
 	alg, err := estimate.ResolveAlgorithm(mach, op, algName)
 	if err != nil {
-		return resolved{}, err
+		return nil, err
 	}
 	algs := mpi.DefaultAlgorithms(mach)
 	if alg != sweepDefaultAlg {
 		algs = algs.With(op, alg)
 	}
-	rs = resolved{mach: mach, op: op, alg: alg, algs: algs}
+	b = &binding{
+		id:   tripleIDs.id(tripleIdent{estimate.CachedFingerprint(mach), op, alg}),
+		mach: mach, op: op, alg: alg, algs: algs,
+	}
 	s.triplesMu.Lock()
 	if s.triples == nil {
-		s.triples = make(map[tripleKey]resolved)
+		s.triples = make(map[tripleKey]*binding)
 	}
-	s.triples[k] = rs
+	s.triples[k] = b
 	s.triplesMu.Unlock()
-	return rs, nil
+	return b, nil
 }
 
-// checkPM validates and installs one scenario's (p, m) coordinates on a
-// name-resolved base.
-func (s *Server) checkPM(rs *resolved, p, m int) error {
+// checkPM validates one scenario's (p, m) coordinates against its
+// triple and returns m normalized (barriers carry no message).
+func (s *Server) checkPM(b *binding, p, m int) (int, error) {
 	if p < 2 {
-		return fmt.Errorf("p=%d: a collective needs at least 2 nodes", p)
+		return 0, fmt.Errorf("p=%d: a collective needs at least 2 nodes", p)
 	}
-	if p > rs.mach.MaxNodes() {
-		return fmt.Errorf("p=%d exceeds the %s's %d nodes", p, rs.mach.Name(), rs.mach.MaxNodes())
+	if p > b.mach.MaxNodes() {
+		return 0, fmt.Errorf("p=%d exceeds the %s's %d nodes", p, b.mach.Name(), b.mach.MaxNodes())
 	}
-	if rs.op == machine.OpBarrier {
+	if b.op == machine.OpBarrier {
 		m = 0
 	}
 	if m < 0 {
-		return fmt.Errorf("negative message length m=%d", m)
+		return 0, fmt.Errorf("negative message length m=%d", m)
 	}
 	if m > s.maxMessage() {
-		return fmt.Errorf("m=%d exceeds the service cap of %d bytes", m, s.maxMessage())
+		return 0, fmt.Errorf("m=%d exceeds the service cap of %d bytes", m, s.maxMessage())
 	}
-	rs.p, rs.m = p, m
-	return nil
+	return m, nil
 }
 
 // sweepDefaultAlg mirrors sweep.DefaultAlgorithm without importing the
@@ -963,36 +906,35 @@ const reasonDegraded = "degraded_deadline"
 // goroutines are outside net/http's recovery, so an unrecovered panic
 // (an injected chaos fault, a modeling bug) would kill the process; here
 // it becomes a per-scenario error and a 500.
-func (s *Server) answerSafe(ctx context.Context, entry *estimate.Entry, rs resolved, wt *workerTimer) (a Answer, err error) {
+func (s *Server) answerSafe(ctx context.Context, entry *estimate.Entry, g *group, it item, wt *workerTimer) (a Answer, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			a, err = Answer{}, fmt.Errorf("backend panicked: %v", rec)
 		}
 	}()
-	return s.answer(ctx, entry, rs, wt)
+	return s.answer(ctx, entry, g, it, wt)
 }
 
-// answer serves one resolved scenario from the entry — or from the
-// exact simulator, flagged, when the fallback decision computed at
-// resolve time says the entry cannot answer it honestly. A ctx that
-// expires mid-estimate degrades to the paper's closed-form expressions
-// when they cover the scenario (an instant answer flagged
-// "degraded_deadline", no bounds) and errors otherwise. Estimate and
-// bound-attach time is charged to the worker's timer.
-func (s *Server) answer(ctx context.Context, entry *estimate.Entry, rs resolved, wt *workerTimer) (Answer, error) {
-	echo := Scenario{Machine: rs.mach.Name(), Op: string(rs.op), Algorithm: rs.alg, P: rs.p, M: rs.m}
-	e0 := wt.start()
-	var est estimate.Estimate
-	var err error
-	if rs.fallback {
-		est, err = s.simBackend().Estimate(ctx, rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
-	} else {
-		est, err = entry.Backend.Estimate(ctx, rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
+// answer serves one scenario from the entry — or from the exact
+// simulator, flagged, when the scenario's fallback verdict says the
+// entry cannot answer it honestly. A ctx that expires mid-estimate
+// degrades to the paper's closed-form expressions when they cover the
+// scenario (an instant answer flagged "degraded_deadline", no bounds)
+// and errors otherwise. Estimate and bound-attach time is charged to
+// the worker's timer.
+func (s *Server) answer(ctx context.Context, entry *estimate.Entry, g *group, it item, wt *workerTimer) (Answer, error) {
+	echo := Scenario{Machine: g.mach.Name(), Op: string(g.op), Algorithm: g.alg, P: it.p, M: it.m}
+	fallback := it.kind != fbNone
+	backend := entry.Backend
+	if fallback {
+		backend = s.simBackend()
 	}
+	e0 := wt.start()
+	est, err := backend.Estimate(ctx, g.mach, g.op, g.algs, it.p, it.m, s.config())
 	if err != nil {
 		wt.estimateDone(e0)
 		if ctx.Err() != nil {
-			if a, ok := s.degradedAnswer(echo, rs); ok {
+			if a, ok := s.degradedAnswer(echo, g); ok {
 				return a, nil
 			}
 			// Make sure the timeout wins the errors.Is dispatch even if
@@ -1002,14 +944,14 @@ func (s *Server) answer(ctx context.Context, entry *estimate.Entry, rs resolved,
 		return Answer{}, err
 	}
 	e1 := wt.estimateDone(e0)
-	if rs.fallback {
+	if fallback {
 		return Answer{
 			Scenario: echo, Micros: est.Sample.Micros, Backend: est.Backend,
-			Fallback: true, FallbackReason: rs.fallbackReason,
+			Fallback: true, FallbackReason: g.reasonFor(it),
 		}, nil
 	}
 	a := Answer{Scenario: echo, Micros: est.Sample.Micros, Backend: est.Backend}
-	attachBound(entry, rs, &a)
+	attachBound(entry, g, it.m, &a)
 	wt.boundsDone(e1)
 	return a, nil
 }
@@ -1021,12 +963,12 @@ func (s *Server) answer(ctx context.Context, entry *estimate.Entry, rs resolved,
 // simulator was asked in the first place. ok is false when the paper's
 // set has no expression for the (machine, op) pair; the caller then
 // surfaces the timeout.
-func (s *Server) degradedAnswer(echo Scenario, rs resolved) (Answer, bool) {
+func (s *Server) degradedAnswer(echo Scenario, g *group) (Answer, bool) {
 	da := s.degradedBackend()
-	if !da.Covers(rs.mach.Name(), rs.op) {
+	if !da.Covers(g.mach.Name(), g.op) {
 		return Answer{}, false
 	}
-	est, err := da.Estimate(context.Background(), rs.mach, rs.op, rs.algs, rs.p, rs.m, s.config())
+	est, err := da.Estimate(context.Background(), g.mach, g.op, g.algs, echo.P, echo.M, s.config())
 	if err != nil {
 		return Answer{}, false // Analytic never errors; belt and braces
 	}
@@ -1038,72 +980,32 @@ func (s *Server) degradedAnswer(echo Scenario, rs resolved) (Answer, bool) {
 
 // attachBound annotates a closed-form answer with its validated
 // expected-error bound, when the entry carries one.
-func attachBound(entry *estimate.Entry, rs resolved, a *Answer) {
+func attachBound(entry *estimate.Entry, g *group, m int, a *Answer) {
 	// Piecewise fits answer from one protocol segment; the expected
 	// error must come from validated lengths of that same segment, and
-	// the answer says which segment served it. Affine entries skip the
-	// per-answer expression lookup entirely — it is hot-path work that
-	// could only rediscover there are no segments.
-	if cal, isCal := entry.Backend.(*estimate.Calibrated); isCal && cal.Fit.Piecewise {
-		if seg, isSeg := cal.Expression(rs.mach, rs.op, rs.alg).SegmentFor(rs.m); isSeg {
-			if cell, ok := entry.Bounds.BoundIn(rs.mach.Name(), rs.op, rs.m, seg.MMin, seg.MMax); ok {
-				a.ExpectedError = &Bound{
-					RelMedian: cell.Median, RelMax: cell.Max,
-					BasisM: cell.M, Points: cell.Points,
-				}
-				// BoundIn falls back to a cross-regime neighbor when the
-				// validation grid has no cell inside the segment; only an
-				// in-segment basis may claim the segment-scoped contract.
-				if cell.M >= seg.MMin && cell.M <= seg.MMax {
-					a.ExpectedError.SegmentMMin, a.ExpectedError.SegmentMMax = seg.MMin, seg.MMax
-				}
+	// the answer says which segment served it. Affine groups carry no
+	// segments and take the unconstrained lookup.
+	if seg, isSeg := g.expr.SegmentFor(m); isSeg {
+		if cell, ok := entry.Bounds.BoundIn(g.mach.Name(), g.op, m, seg.MMin, seg.MMax); ok {
+			a.ExpectedError = &Bound{
+				RelMedian: cell.Median, RelMax: cell.Max,
+				BasisM: cell.M, Points: cell.Points,
 			}
-			return
+			// BoundIn falls back to a cross-regime neighbor when the
+			// validation grid has no cell inside the segment; only an
+			// in-segment basis may claim the segment-scoped contract.
+			if cell.M >= seg.MMin && cell.M <= seg.MMax {
+				a.ExpectedError.SegmentMMin, a.ExpectedError.SegmentMMax = seg.MMin, seg.MMax
+			}
 		}
+		return
 	}
-	if cell, ok := entry.Bounds.Bound(rs.mach.Name(), rs.op, rs.m); ok {
+	if cell, ok := entry.Bounds.Bound(g.mach.Name(), g.op, m); ok {
 		a.ExpectedError = &Bound{
 			RelMedian: cell.Median, RelMax: cell.Max,
 			BasisM: cell.M, Points: cell.Points,
 		}
 	}
-}
-
-// fallbackReason decides whether the scenario must be answered by the
-// simulator: outside the entry's calibrated envelope, a pair the
-// envelope function disowns, or — whatever the envelope says — a fixed
-// expression set that cannot answer the pair honestly, either because
-// it has no fit at all (evaluating one would panic deep inside the
-// model) or because it only models vendor-default algorithms and the
-// request names another variant. The kind is fbNone when the entry
-// answers in closed form.
-func fallbackReason(entry *estimate.Entry, rs resolved) (string, fallbackKind) {
-	if a, ok := entry.Backend.(*estimate.Analytic); ok {
-		if !a.Covers(rs.mach.Name(), rs.op) {
-			return uncoveredReason(entry, rs), fbUncovered
-		}
-		// Fixed sets model the vendor-default algorithms only; naming
-		// the default variant explicitly is fine, any other variant is
-		// a question the set cannot answer.
-		if rs.alg != sweepDefaultAlg && rs.alg != mpi.DefaultAlgorithms(rs.mach).Get(rs.op) {
-			return fmt.Sprintf("the %s expression set models vendor-default algorithms only, not %s[%s]; answered by the exact simulator",
-				entry.Name, rs.op, rs.alg), fbVariant
-		}
-	}
-	in, rng := entry.Covers(rs.mach, rs.op, rs.p, rs.m)
-	if in {
-		return "", fbNone
-	}
-	if rng == (estimate.Range{}) {
-		return uncoveredReason(entry, rs), fbUncovered
-	}
-	return fmt.Sprintf("p=%d m=%d is outside the calibrated range %s; answered by the exact simulator",
-		rs.p, rs.m, rng), fbOutOfRange
-}
-
-func uncoveredReason(entry *estimate.Entry, rs resolved) string {
-	return fmt.Sprintf("%s/%s has no %s expression; answered by the exact simulator",
-		rs.mach.Name(), rs.op, entry.Name)
 }
 
 // handleRegistry answers GET /v1/registry.
@@ -1115,7 +1017,7 @@ func (s *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 			Name:        e.Name,
 			Description: e.Description,
 			Backend:     e.Backend.Name(),
-			Provenance:  e.Backend.Provenance(),
+			Provenance:  e.Provenance(),
 		}
 		if e.Bounds != nil {
 			info.BoundsCells = len(e.Bounds.Cells)
@@ -1123,43 +1025,6 @@ func (s *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 		resp.Registries = append(resp.Registries, info)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// fanOut runs indices 0..n-1 across a bounded worker pool — the
-// calibration-pool pattern (jobs channel, WaitGroup), sized like
-// Precalibrate. setup runs once per worker and returns the worker's
-// per-index fn plus a done hook that runs after its share of the batch
-// (worker-local state, e.g. timing accumulators, flushes there).
-func fanOut(workers, n int, setup func() (fn func(i int), done func())) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn, done := setup()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		done()
-		return
-	}
-	jobs := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn, done := setup()
-			for i := range jobs {
-				fn(i)
-			}
-			done()
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // writeJSON encodes v with the fixed two-space indentation the goldens

@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"sort"
-
 	"repro/internal/estimate"
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -24,32 +22,18 @@ func BuildErrorTable(b estimate.Backend, pairs []Paired) estimate.ErrorTable {
 		k := cellKey{pr.Scenario.Machine, string(pr.Scenario.Op), pr.Scenario.M}
 		errs[k] = append(errs[k], pr.RelError())
 	}
-	keys := make([]cellKey, 0, len(errs))
-	for k := range errs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.mach != b.mach {
-			return a.mach < b.mach
-		}
-		if a.op != b.op {
-			return a.op < b.op
-		}
-		return a.m < b.m
-	})
 	t := estimate.ErrorTable{
 		Backend:    b.Name(),
 		Provenance: b.Provenance(),
-		Cells:      make([]estimate.ErrorCell, 0, len(keys)),
+		Cells:      make([]estimate.ErrorCell, 0, len(errs)),
 	}
-	for _, k := range keys {
-		es := errs[k]
+	for k, es := range errs {
 		t.Cells = append(t.Cells, estimate.ErrorCell{
 			Machine: k.mach, Op: machine.Op(k.op), M: k.m,
 			Median: stats.Median(es), Max: maxOf(es), Points: len(es),
 		})
 	}
+	t.Sort()
 	return t
 }
 
@@ -68,6 +52,7 @@ func AttachBounds(reg *estimate.Registry, c *Cache) int {
 		if !ok || !t.Describes(e.Backend) {
 			continue
 		}
+		t.Sort() // a stored table's cell order is not guaranteed
 		e.Bounds = &t
 		n++
 	}
