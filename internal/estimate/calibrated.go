@@ -202,8 +202,14 @@ type Calibrated struct {
 	// before the first Estimate call, like every other field.
 	StoreHits, Refits *obs.Counter
 
-	mu  sync.Mutex
-	cal map[calTriple]*calEntry
+	mu     sync.Mutex
+	cal    map[calTriple]*calEntry
+	ranges map[rangeKey]Range // Range, memoized: the grid is fixed after first use
+}
+
+type rangeKey struct {
+	mach string
+	op   machine.Op
 }
 
 type calTriple struct {
@@ -400,7 +406,18 @@ func (c *Calibrated) Predictor(machines []*machine.Machine, ops []machine.Op) *m
 // signature matches Entry.Ranges so a registry entry can use the method
 // value directly.
 func (c *Calibrated) Range(mach *machine.Machine, op machine.Op) (Range, bool) {
-	return envelope(c.sizesFor(mach), c.lengthsFor(op)), true
+	k := rangeKey{mach.Name(), op}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.ranges[k]
+	if !ok {
+		r = envelope(c.sizesFor(mach), c.lengthsFor(op))
+		if c.ranges == nil {
+			c.ranges = map[rangeKey]Range{}
+		}
+		c.ranges[k] = r
+	}
+	return r, true
 }
 
 // calibrate runs the triple's calibration sweep (or loads a stored fit)

@@ -98,9 +98,9 @@ func (t *ErrorTable) BoundIn(mach string, op machine.Op, m, lo, hi int) (ErrorCe
 // nearest is the one nearest-cell lookup behind Bound and BoundIn: the
 // exact cell when a validated length in [lo, hi] matches m, otherwise
 // the in-range cell with the nearest length on a log scale, the shorter
-// one on a tie. Two binary searches bound the (machine, op) row's cells
-// in [lo, hi] and a third places m among them; by monotonicity of the
-// log the nearest cell is one of m's two neighbours.
+// one on a tie. Binary searches find the (machine, op) row, its cells
+// in [lo, hi], and m's place among them; the log being monotone, the
+// nearest cell is one of m's two neighbours.
 func (t *ErrorTable) nearest(mach string, op machine.Op, m, lo, hi int) (ErrorCell, bool) {
 	if t == nil {
 		return ErrorCell{}, false
@@ -110,23 +110,31 @@ func (t *ErrorTable) nearest(mach string, op machine.Op, m, lo, hi int) (ErrorCe
 		cells = slices.Clone(cells)
 		slices.SortStableFunc(cells, compareCells)
 	}
-	first, last := ErrorCell{Machine: mach, Op: op, M: lo}, ErrorCell{Machine: mach, Op: op, M: hi}
-	i := sort.Search(len(cells), func(k int) bool { return compareCells(cells[k], first) >= 0 })
-	j := sort.Search(len(cells), func(k int) bool { return compareCells(cells[k], last) > 0 })
+	row := func(k int) int { // orders cell k's (machine, op) against the wanted pair
+		if c := strings.Compare(cells[k].Machine, mach); c != 0 {
+			return c
+		}
+		return strings.Compare(string(cells[k].Op), string(op))
+	}
+	i := sort.Search(len(cells), func(k int) bool { return row(k) >= 0 })
+	j := i + sort.Search(len(cells)-i, func(k int) bool { return row(i+k) > 0 })
+	cells = cells[i:j]
+	i = sort.Search(len(cells), func(k int) bool { return cells[k].M >= lo })
+	j = sort.Search(len(cells), func(k int) bool { return cells[k].M > hi })
 	if i >= j {
 		return ErrorCell{}, false
 	}
-	row := cells[i:j]
-	k := sort.Search(len(row), func(k int) bool { return row[k].M >= m })
+	in := cells[i:j]
+	k := sort.Search(len(in), func(k int) bool { return in[k].M >= m })
 	switch {
-	case k == len(row):
-		return row[k-1], true
-	case row[k].M == m || k == 0:
-		return row[k], true
-	case logDist(row[k].M, m) < logDist(row[k-1].M, m):
-		return row[k], true
+	case k == len(in):
+		return in[k-1], true
+	case in[k].M == m || k == 0:
+		return in[k], true
+	case logDist(in[k].M, m) < logDist(in[k-1].M, m):
+		return in[k], true
 	}
-	return row[k-1], true
+	return in[k-1], true
 }
 
 // logDist measures how far apart two message lengths are on a log

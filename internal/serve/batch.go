@@ -240,7 +240,7 @@ func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint
 	scr.fb = fb
 	one := func(i int, wt *workerTimer) {
 		it := items[i]
-		answers[i], cres[i], errs[i] = s.answerCached(ctx, entry, epoch, &scr.groups[it.g], it, wt)
+		cres[i], errs[i] = s.answerCached(ctx, entry, epoch, &scr.groups[it.g], it, wt, &answers[i])
 	}
 	njobs := len(fb) + (len(items)+blockSize-1)/blockSize
 	var next atomic.Int64

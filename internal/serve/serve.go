@@ -765,7 +765,7 @@ const (
 	cacheMiss
 )
 
-// answerCached serves one resolved scenario through the answer cache:
+// answerCached serves one resolved scenario into dst through the answer cache:
 // a finished answer is returned as-is, a cold key runs s.answerSafe
 // once (single flight — concurrent requests for the same cold key wait
 // and share), and with no cache attached every scenario computes.
@@ -773,17 +773,19 @@ const (
 // waiters sharing it see the same outcome, but the next request retries
 // (or gets the real answer once the pressure is off) instead of being
 // served a poisoned slot forever.
-func (s *Server) answerCached(ctx context.Context, entry *estimate.Entry, epoch uint64, g *group, it item, wt *workerTimer) (Answer, uint8, error) {
+func (s *Server) answerCached(ctx context.Context, entry *estimate.Entry, epoch uint64, g *group, it item, wt *workerTimer, dst *Answer) (uint8, error) {
 	if s.Cache == nil {
 		a, err := s.answerSafe(ctx, entry, g, it, wt)
-		return a, cacheBypass, err
+		*dst = a
+		return cacheBypass, err
 	}
 	k := acKey{eid: epoch, tid: g.id, p: it.p, m: it.m}
 	e, created := s.Cache.get(k)
 	if !created && e.done.Load() {
 		// The steady-state hit: the answer exists, so skip once.Do —
 		// building its closure would be the hit path's only allocation.
-		return e.ans, cacheHit, e.err
+		*dst = e.ans
+		return cacheHit, e.err
 	}
 	// Whoever wins the once computes; everyone blocks until the answer
 	// exists. The creator is the accounting miss either way. The recover
@@ -796,10 +798,11 @@ func (s *Server) answerCached(ctx context.Context, entry *estimate.Entry, epoch 
 			s.Cache.forget(k, e)
 		}
 	})
+	*dst = e.ans
 	if created {
-		return e.ans, cacheMiss, e.err
+		return cacheMiss, e.err
 	}
-	return e.ans, cacheHit, e.err
+	return cacheHit, e.err
 }
 
 // ParseJSONRequest accepts the three request shapes: a bare
