@@ -195,14 +195,14 @@ func (scr *scratch) calibrate(entry *estimate.Entry, workers int) {
 	if !ok {
 		return
 	}
-	triples := scr.triples[:0]
+	precal := scr.precal[:0]
 	for i := range scr.groups {
 		if g := &scr.groups[i]; g.closed {
-			triples = append(triples, estimate.Triple{Machine: g.mach, Op: g.op, Alg: g.algs.Get(g.op)})
+			precal = append(precal, estimate.Triple{Machine: g.mach, Op: g.op, Alg: g.algs.Get(g.op)})
 		}
 	}
-	scr.triples = triples
-	cal.Precalibrate(triples, workers)
+	scr.precal = precal
+	cal.Precalibrate(precal, workers)
 	if !cal.Fit.Piecewise {
 		return
 	}
@@ -222,15 +222,15 @@ func (scr *scratch) calibrate(entry *estimate.Entry, workers int) {
 // fallbacks therefore runs inline in the handler goroutine.
 const blockSize = 64
 
-// dispatch answers every item of the request into answers, cres and
-// errs (indexed like scr.items). Jobs are claimed from one atomic
-// counter by at most workers goroutines, the handler's own included:
-// each fallback scenario is a job of its own, claimed first, so one
-// request's simulations run in parallel rather than queued behind each
-// other in a block; then the request's scenarios in blocks of
-// blockSize, skipping the fallbacks.
-func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint64, scr *scratch, workers int, tr *obs.Trace, base time.Time, answers []Answer, cres []uint8, errs []error) {
-	items := scr.items
+// dispatch answers every item of the request into scr.answers,
+// scr.cres and scr.errs (sized and indexed like scr.items). Jobs are
+// claimed from one atomic counter by at most workers goroutines, the
+// handler's own included: each fallback scenario is a job of its own,
+// claimed first, so one request's simulations run in parallel rather
+// than queued behind each other in a block; then the request's
+// scenarios in blocks of blockSize, skipping the fallbacks.
+func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint64, scr *scratch, workers int, tr *obs.Trace, base time.Time) {
+	items, answers, cres, errs := scr.items, scr.answers, scr.cres, scr.errs
 	fb := scr.fb[:0]
 	for i := range items {
 		if items[i].kind != fbNone {

@@ -168,10 +168,10 @@ func putBuffer(b *bytes.Buffer) {
 type scratch struct {
 	items   []item
 	groups  []group
-	byID    map[uint64]int32 // binding id → group index
-	byWire  map[uint64]int32 // binary string-table index triple → group index
-	triples []estimate.Triple
-	fb      []int32 // indexes of the fallback items
+	byID    map[uint64]int32  // binding id → group index
+	byWire  map[uint64]int32  // binary string-table index triple → group index
+	precal  []estimate.Triple // the request's closed-form triples
+	fb      []int32           // indexes of the fallback items
 	answers []Answer
 	cres    []uint8
 	errs    []error

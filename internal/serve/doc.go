@@ -10,11 +10,13 @@
 //
 // Every request selects a named expression set from an
 // estimate.Registry (paper-table3, refit-default, refit-adaptive,
-// refit-piecewise, or anything the embedding process registered);
-// batched scenarios fan out across a bounded worker pool, and cold
-// calibrated batches bulk-calibrate their (machine, op, algorithm)
-// triples first, so a request never serializes behind one triple's
-// first fit.
+// refit-piecewise, or anything the embedding process registered). A
+// batch is evaluated grouped by its distinct (machine, op, algorithm)
+// triples: name binding, the fallback decision and calibration run
+// once per triple, cold calibrated batches bulk-calibrate their
+// triples first (so a request never serializes behind one triple's
+// first fit), and the scenarios are answered in blocks across a
+// bounded worker pool, each simulator fallback on its own.
 //
 // # Honesty guarantees
 //

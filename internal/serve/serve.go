@@ -655,16 +655,13 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	if s.Cache != nil {
 		epoch = s.entryEpoch(entry)
 	}
-	items := scr.items
-	answers := scr.answerSlice(n)
-	cres := scr.cacheSlice(n)
-	errs := scr.errSlice(n)
-	s.dispatch(ctx, entry, epoch, scr, workers, tr, tm.base, answers, cres, errs)
+	answers, cres, errs := scr.answerSlice(n), scr.cacheSlice(n), scr.errSlice(n)
+	s.dispatch(ctx, entry, epoch, scr, workers, tr, tm.base)
 	tm.skip()
 
 	st.scenarios = n
 	var scErr error
-	for i, it := range items {
+	for i, it := range scr.items {
 		if errs[i] != nil && scErr == nil {
 			g := &scr.groups[it.g]
 			scErr = fmt.Errorf("scenario %d (%s/%s p=%d m=%d): %w",
