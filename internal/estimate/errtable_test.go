@@ -105,26 +105,3 @@ func TestErrorTableLookupMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-// TestErrorTableSort orders cells by (machine, op, m) and leaves a
-// sorted table's cells where they are.
-func TestErrorTableSort(t *testing.T) {
-	table := &ErrorTable{Cells: []ErrorCell{
-		{Machine: "SP2", Op: machine.OpBroadcast, M: 1024},
-		{Machine: "SP2", Op: machine.OpBroadcast, M: 16},
-		{Machine: "SP2", Op: machine.OpBarrier, M: 0},
-		{Machine: "Paragon", Op: machine.OpGather, M: 4},
-	}}
-	table.Sort()
-	want := []ErrorCell{
-		{Machine: "Paragon", Op: machine.OpGather, M: 4},
-		{Machine: "SP2", Op: machine.OpBarrier, M: 0},
-		{Machine: "SP2", Op: machine.OpBroadcast, M: 16},
-		{Machine: "SP2", Op: machine.OpBroadcast, M: 1024},
-	}
-	for i, c := range table.Cells {
-		if c != want[i] {
-			t.Fatalf("cell %d = %+v, want %+v", i, c, want[i])
-		}
-	}
-}

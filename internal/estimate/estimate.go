@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/fit"
 	"repro/internal/machine"
@@ -70,28 +69,6 @@ func Fingerprint(m *machine.Machine) string {
 func hashJSON(blob []byte) string {
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:])
-}
-
-// fingerprints memoizes Fingerprint by machine name. The preset
-// constructors build a fresh *Machine per call (so pointer identity is
-// useless as a memo key), but a preset's parameter set is fixed for
-// the life of the process, making the name a sound key for machines
-// that come out of ResolveMachine.
-var fingerprints sync.Map // machine name → fingerprint
-
-// CachedFingerprint is Fingerprint memoized by preset name — for
-// per-request hot paths (the serve answer cache keys every scenario by
-// it) where re-hashing the machine's parameter set each time would
-// cost more than the lookup it guards. Callers must pass machines
-// resolved from the presets (ResolveMachine); a hand-built machine
-// reusing a preset name would alias its fingerprint.
-func CachedFingerprint(m *machine.Machine) string {
-	if fp, ok := fingerprints.Load(m.Name()); ok {
-		return fp.(string)
-	}
-	fp := Fingerprint(m)
-	fingerprints.Store(m.Name(), fp)
-	return fp
 }
 
 // BuildDataset measures op across machine sizes and message lengths

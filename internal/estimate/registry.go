@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/measure"
@@ -69,17 +70,19 @@ type Entry struct {
 	// is answered in closed form, never by fallback.
 	Ranges func(mach *machine.Machine, op machine.Op) (Range, bool)
 
-	identOnce  sync.Once
-	provenance string
-	epoch      string
+	ident atomic.Pointer[entryIdent]
+}
+
+// entryIdent memoizes an entry's identity strings.
+type entryIdent struct {
+	provenance, epoch string
 }
 
 // Provenance is the backend's provenance, computed once: a calibrated
 // backend hashes its whole calibration spec per call, and the serving
 // layer stamps the provenance on every response.
 func (e *Entry) Provenance() string {
-	e.identify()
-	return e.provenance
+	return e.identity().provenance
 }
 
 // Epoch is the entry's answer-identity: backend name plus provenance,
@@ -91,15 +94,21 @@ func (e *Entry) Provenance() string {
 // recalibrated backend is a new epoch, and stale answers simply stop
 // being found.
 func (e *Entry) Epoch() string {
-	e.identify()
-	return e.epoch
+	return e.identity().epoch
 }
 
-func (e *Entry) identify() {
-	e.identOnce.Do(func() {
-		e.provenance = e.Backend.Provenance()
-		e.epoch = e.Backend.Name() + "\x00" + e.provenance
-	})
+// identity computes the memo on first use. Concurrent first calls may
+// each compute it (the result is the same); a backend whose
+// Provenance panics stores nothing, so every call keeps panicking
+// rather than serving an empty identity.
+func (e *Entry) identity() *entryIdent {
+	if id := e.ident.Load(); id != nil {
+		return id
+	}
+	prov := e.Backend.Provenance()
+	id := &entryIdent{provenance: prov, epoch: e.Backend.Name() + "\x00" + prov}
+	e.ident.Store(id)
+	return id
 }
 
 // Covers reports whether (mach, op, p, m) lies inside the entry's

@@ -56,7 +56,7 @@ type acKey struct {
 
 // tripleIdent is a triple's answer identity, before interning.
 type tripleIdent struct {
-	fp  string // estimate.CachedFingerprint of the machine
+	fp  string // estimate.Fingerprint of the machine
 	op  machine.Op
 	alg string
 }

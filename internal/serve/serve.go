@@ -860,7 +860,7 @@ func (s *Server) resolveTriple(machName, opName, algName string) (*binding, erro
 		algs = algs.With(op, alg)
 	}
 	b = &binding{
-		id:   tripleIDs.id(tripleIdent{estimate.CachedFingerprint(mach), op, alg}),
+		id:   tripleIDs.id(tripleIdent{estimate.Fingerprint(mach), op, alg}),
 		mach: mach, op: op, alg: alg, algs: algs,
 	}
 	s.triplesMu.Lock()
