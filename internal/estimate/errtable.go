@@ -110,22 +110,22 @@ func (t *ErrorTable) nearest(mach string, op machine.Op, m, lo, hi int) (ErrorCe
 		cells = slices.Clone(cells)
 		slices.SortStableFunc(cells, compareCells)
 	}
-	row := func(k int) int { // orders cell k's (machine, op) against the wanted pair
-		if c := strings.Compare(cells[k].Machine, mach); c != 0 {
+	row := func(x int) int { // orders cell x's (machine, op) against the wanted pair
+		if c := strings.Compare(cells[x].Machine, mach); c != 0 {
 			return c
 		}
-		return strings.Compare(string(cells[k].Op), string(op))
+		return strings.Compare(string(cells[x].Op), string(op))
 	}
-	i := sort.Search(len(cells), func(k int) bool { return row(k) >= 0 })
-	j := i + sort.Search(len(cells)-i, func(k int) bool { return row(i+k) > 0 })
+	i := sort.Search(len(cells), func(x int) bool { return row(x) >= 0 })
+	j := i + sort.Search(len(cells)-i, func(x int) bool { return row(i+x) > 0 })
 	cells = cells[i:j]
-	i = sort.Search(len(cells), func(k int) bool { return cells[k].M >= lo })
-	j = sort.Search(len(cells), func(k int) bool { return cells[k].M > hi })
+	i = sort.Search(len(cells), func(x int) bool { return cells[x].M >= lo })
+	j = sort.Search(len(cells), func(x int) bool { return cells[x].M > hi })
 	if i >= j {
 		return ErrorCell{}, false
 	}
 	in := cells[i:j]
-	k := sort.Search(len(in), func(k int) bool { return in[k].M >= m })
+	k := sort.Search(len(in), func(x int) bool { return in[x].M >= m })
 	switch {
 	case k == len(in):
 		return in[k-1], true
