@@ -762,8 +762,8 @@ const (
 	cacheMiss
 )
 
-// answerCached serves one resolved scenario into dst through the answer cache:
-// a finished answer is returned as-is, a cold key runs s.answerSafe
+// answerCached answers one scenario into dst through the answer cache:
+// a finished answer is copied as-is, a cold key runs s.answerSafe
 // once (single flight — concurrent requests for the same cold key wait
 // and share), and with no cache attached every scenario computes.
 // Errored and degraded computations are forgotten after the flight —
