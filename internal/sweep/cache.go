@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/estimate"
 	"repro/internal/fit"
@@ -54,9 +56,9 @@ func (s Scenario) Key(fingerprint, backendID string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// entry is the JSON persistence envelope of one cached result. The
-// scenario ID is stored for humans inspecting the cache directory; the
-// key alone decides a hit.
+// entry is one line of a sample segment: the persisted result of one
+// scenario. The scenario ID is stored for humans inspecting the cache
+// directory; the key alone decides a hit.
 type entry struct {
 	Key    string         `json:"key"`
 	ID     string         `json:"id"`
@@ -79,14 +81,22 @@ type errEntry struct {
 	Table estimate.ErrorTable `json:"table"`
 }
 
-// Cache is a content-keyed result store, one JSON file per scenario
-// under a directory. It also persists the Calibrated backend's fitted
-// expressions (estimate.ExpressionStore), so one directory carries both
+// Cache is a content-keyed result store under a directory. Samples
+// live in segments, one newline-delimited JSON file per runner span
+// (segSuffix); a Run streams the segments once to serve its hits and
+// keeps no index between Runs. The Cache also persists the Calibrated
+// backend's fitted expressions (estimate.ExpressionStore) and
+// validation error tables, one JSON file each, so one directory carries
 // a sweep's samples and the calibration they may derive from. The zero
 // of *Cache (nil) is a valid no-op cache.
 type Cache struct {
 	dir string
 }
+
+// segSuffix names sample segments. Files the cache does not write
+// under this suffix, including per-key <key>.json samples of older
+// layouts, are never read as samples.
+const segSuffix = ".seg.ndjson"
 
 // Cache persists calibrations for the Calibrated backend.
 var _ estimate.ExpressionStore = (*Cache)(nil)
@@ -103,10 +113,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
 func (c *Cache) exprPath(key string) string {
 	return filepath.Join(c.dir, key+".expr.json")
 }
@@ -115,26 +121,78 @@ func (c *Cache) errPath(key string) string {
 	return filepath.Join(c.dir, key+".errors.json")
 }
 
-// Get returns the cached sample for key, if present and intact.
-// Corrupt or mismatched entries read as misses.
-func (c *Cache) Get(key string) (measure.Sample, bool) {
-	if c == nil {
-		return measure.Sample{}, false
-	}
-	var e entry
-	if !readJSON(c.path(key), &e) || e.Key != key {
-		return measure.Sample{}, false
-	}
-	return e.Sample, true
-}
-
-// Put stores a sample under key, atomically (write-temp + rename) so
-// concurrent sweeps sharing a directory never observe partial entries.
-func (c *Cache) Put(key, id string, s measure.Sample) error {
+// lookup streams every sample segment in the directory once and
+// returns the sample of each of keys it finds. A line that is not one
+// well-formed entry, or that carries another key, serves nothing; the
+// first segment in name order that carries a key wins.
+func (c *Cache) lookup(keys []string) map[string]measure.Sample {
 	if c == nil {
 		return nil
 	}
-	return c.writeAtomic(c.path(key), entry{Key: key, ID: id, Sample: s})
+	want := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		want[k] = true
+	}
+	found := make(map[string]measure.Sample)
+	files, err := os.ReadDir(c.dir)
+	if err != nil {
+		return found
+	}
+	for _, f := range files {
+		if len(found) == len(want) {
+			break
+		}
+		if !strings.HasSuffix(f.Name(), segSuffix) {
+			continue
+		}
+		seg, err := os.Open(filepath.Join(c.dir, f.Name()))
+		if err != nil {
+			continue
+		}
+		scanSegment(seg, want, found)
+		seg.Close()
+	}
+	return found
+}
+
+// scanSegment adds to found the sample of every wanted key that one
+// segment carries on a well-formed line.
+func scanSegment(r io.Reader, want map[string]bool, found map[string]measure.Sample) {
+	sc := bufio.NewScanner(r) // a line over 64 KiB ends the segment's read
+	for sc.Scan() {
+		var e entry
+		if json.Unmarshal(sc.Bytes(), &e) != nil || !want[e.Key] {
+			continue
+		}
+		if _, dup := found[e.Key]; !dup {
+			found[e.Key] = e.Sample
+		}
+	}
+}
+
+// putSegment stores one runner span's samples as a segment, atomically
+// (write-temp + rename) so concurrent sweeps sharing a directory never
+// observe a partial segment. The segment is named by a digest of its
+// keys, so rerunning a span replaces its segment instead of adding one.
+func (c *Cache) putSegment(entries []entry) error {
+	if c == nil || len(entries) == 0 {
+		return nil
+	}
+	h := sha256.New()
+	for _, e := range entries {
+		io.WriteString(h, e.Key+"\n")
+	}
+	name := hex.EncodeToString(h.Sum(nil)) + segSuffix
+	return c.writeAtomic(filepath.Join(c.dir, name), func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		enc := json.NewEncoder(bw)
+		for _, e := range entries {
+			// An unencodable sample (NaN, ±Inf) is left out, to be
+			// recomputed, without costing the rest of the span.
+			_ = enc.Encode(e)
+		}
+		return bw.Flush()
+	})
 }
 
 // GetExpression returns the persisted fitted expression for key, if
@@ -156,7 +214,9 @@ func (c *Cache) PutExpression(key, id string, e fit.Expression) error {
 	if c == nil {
 		return nil
 	}
-	return c.writeAtomic(c.exprPath(key), exprEntry{Key: key, ID: id, Expression: e})
+	return c.writeAtomic(c.exprPath(key), func(w io.Writer) error {
+		return writeJSON(w, exprEntry{Key: key, ID: id, Expression: e})
+	})
 }
 
 // GetErrorTable returns the persisted validation error table for key
@@ -180,17 +240,20 @@ func (c *Cache) PutErrorTable(key, id string, t estimate.ErrorTable) error {
 	if c == nil {
 		return nil
 	}
-	return c.writeAtomic(c.errPath(key), errEntry{Key: key, ID: id, Table: t})
+	return c.writeAtomic(c.errPath(key), func(w io.Writer) error {
+		return writeJSON(w, errEntry{Key: key, ID: id, Table: t})
+	})
 }
 
-// writeAtomic persists one JSON envelope via write-temp + rename.
-func (c *Cache) writeAtomic(path string, envelope any) error {
+// writeAtomic persists what write produces at path via write-temp +
+// rename.
+func (c *Cache) writeAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(c.dir, "put-*")
 	if err != nil {
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := writeJSON(tmp, envelope); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}

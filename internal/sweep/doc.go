@@ -23,13 +23,23 @@
 // Cache persists three artifact kinds in one directory, all atomically
 // written and all keyed by content:
 //
-//   - *.json       measured samples, keyed by scenario + machine
-//     calibration fingerprint + backend identity/provenance
+//   - *.seg.ndjson  measured samples, one newline-delimited JSON
+//     segment per runner batch, one {key, id, sample} line per
+//     scenario; a sample's key covers scenario + machine calibration
+//     fingerprint + backend identity/provenance, and a segment is named
+//     by a digest of its keys
 //   - *.expr.json  fitted expressions (estimate.ExpressionStore), keyed
 //     by the full calibration spec including the fit family — affine
 //     and piecewise fits can never be confused
 //   - *.errors.json  validation error tables, keyed by the candidate
 //     backend's provenance (estimate.ErrorTableKey)
+//
+// A Run computes its scenarios' keys, streams the directory's segments
+// once to serve the hits (the Cache keeps no index between Runs), and
+// writes each batch of fresh results as one segment. Lines that are
+// not well-formed entries, or that carry another key, serve nothing;
+// per-key <key>.json sample files of older layouts are never read, so
+// their scenarios are recomputed.
 //
 // Content keys mean invalidation is automatic: editing a machine
 // preset, switching backends, recalibrating, or changing the fit family

@@ -43,8 +43,9 @@ type Runner struct {
 	// Workers is the pool size; ≤ 0 means GOMAXPROCS.
 	Workers int
 	// BatchSize groups scenarios per work item to amortize channel
-	// traffic on large grids; ≤ 0 picks a size that keeps every worker
-	// busy with a few batches.
+	// traffic on large grids, and each item's fresh results into one
+	// cache segment; ≤ 0 picks a size that keeps every worker busy with
+	// a few batches.
 	BatchSize int
 	// Cache, when non-nil, serves repeated scenarios without
 	// re-estimating and persists fresh results. Keys carry the
@@ -67,12 +68,14 @@ type Runner struct {
 // invariants); an invalid algorithm or machine panics, matching the
 // measure package's contract.
 //
-// Run proceeds in phases: cache hits are served first (in parallel);
-// then, when the backend is a *estimate.Calibrated, every triple the
-// remaining scenarios touch is precalibrated through a worker pool of
-// the same size, so cold calibration parallelizes across triples
-// instead of serializing behind the first scenario that needs each
-// one; finally the remaining scenarios are estimated in parallel.
+// Run proceeds in phases: cache hits are served first, from one pass
+// over the cache's sample segments; then, when the backend is a
+// *estimate.Calibrated, every triple the remaining scenarios touch is
+// precalibrated through a worker pool of the same size, so cold
+// calibration parallelizes across triples instead of serializing
+// behind the first scenario that needs each one; finally the remaining
+// scenarios are estimated in parallel, each batch persisting its
+// results as one cache segment.
 func (r *Runner) Run(scenarios []Scenario) []Result {
 	workers := r.Workers
 	if workers <= 0 {
@@ -140,20 +143,21 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 	pending := make([]int, 0, len(scenarios))
 	keys := make([]string, len(scenarios))
 	if r.Cache != nil {
-		served := make([]bool, len(scenarios))
-		r.forEach(workers, len(scenarios), func(i int) {
-			sc := scenarios[i]
-			keys[i] = sc.Key(mctx[sc.Machine].fingerprint, backendID)
-			if s, ok := r.Cache.Get(keys[i]); ok {
-				results[i] = Result{Scenario: sc, Sample: s, Cached: true, Backend: backend.Name()}
-				served[i] = true
-				report(i)
+		r.forEach(workers, len(scenarios), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sc := scenarios[i]
+				keys[i] = sc.Key(mctx[sc.Machine].fingerprint, backendID)
 			}
 		})
-		for i, ok := range served {
+		hits := r.Cache.lookup(keys)
+		for i, sc := range scenarios {
+			s, ok := hits[keys[i]]
 			if !ok {
 				pending = append(pending, i)
+				continue
 			}
+			results[i] = Result{Scenario: sc, Sample: s, Cached: true, Backend: backend.Name()}
+			report(i)
 		}
 	} else {
 		for i := range scenarios {
@@ -181,20 +185,26 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 
 	// Phase 3: estimate what the cache could not serve.
 	phaseStart = phaseClock()
-	r.forEach(workers, len(pending), func(j int) {
-		i := pending[j]
-		sc := scenarios[i]
-		results[i] = r.runOne(sc, keys[i], mctx[sc.Machine], backend)
-		report(i)
+	r.forEach(workers, len(pending), func(lo, hi int) {
+		var seg []entry
+		for _, i := range pending[lo:hi] {
+			sc := scenarios[i]
+			results[i] = runOne(sc, mctx[sc.Machine], backend)
+			if r.Cache != nil {
+				seg = append(seg, entry{Key: keys[i], ID: sc.ID(), Sample: results[i].Sample})
+			}
+			report(i)
+		}
+		_ = r.Cache.putSegment(seg) // best-effort; a full disk must not fail the sweep
 	})
 	endPhase(phaseEstimate, phaseStart)
 	return results
 }
 
-// forEach runs fn(0..n-1) across a bounded worker pool in contiguous
-// batches (~4 per worker), so the tail stays balanced without a channel
-// send per item.
-func (r *Runner) forEach(workers, n int, fn func(i int)) {
+// forEach runs fn over [0, n) in contiguous spans [lo, hi) (~4 per
+// worker) across a bounded worker pool, so the tail stays balanced
+// without a channel send per item.
+func (r *Runner) forEach(workers, n int, fn func(lo, hi int)) {
 	if n == 0 {
 		return
 	}
@@ -206,8 +216,8 @@ func (r *Runner) forEach(workers, n int, fn func(i int)) {
 		batch = n/(4*workers) + 1
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+		for lo := 0; lo < n; lo += batch {
+			fn(lo, min(lo+batch, n))
 		}
 		return
 	}
@@ -218,18 +228,12 @@ func (r *Runner) forEach(workers, n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for span := range jobs {
-				for i := span[0]; i < span[1]; i++ {
-					fn(i)
-				}
+				fn(span[0], span[1])
 			}
 		}()
 	}
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		jobs <- [2]int{lo, hi}
+		jobs <- [2]int{lo, min(lo+batch, n)}
 	}
 	close(jobs)
 	wg.Wait()
@@ -241,12 +245,11 @@ type machineCtx struct {
 	fingerprint string // "" when no cache is attached
 }
 
-// runOne estimates one scenario (its cache lookup already missed; key
-// is "" when no cache is attached). Only the scenario's own operation
-// deviates from the vendor algorithm table, so the in-band
-// synchronization barrier of the measurement procedure is the same
-// across variants of another operation.
-func (r *Runner) runOne(sc Scenario, key string, mc *machineCtx, backend estimate.Backend) Result {
+// runOne estimates one scenario (its cache lookup already missed). Only
+// the scenario's own operation deviates from the vendor algorithm
+// table, so the in-band synchronization barrier of the measurement
+// procedure is the same across variants of another operation.
+func runOne(sc Scenario, mc *machineCtx, backend estimate.Backend) Result {
 	algs := mc.defaults
 	if sc.Algorithm != DefaultAlgorithm && sc.Algorithm != "" {
 		algs = algs.With(sc.Op, sc.Algorithm)
@@ -261,9 +264,6 @@ func (r *Runner) runOne(sc Scenario, key string, mc *machineCtx, backend estimat
 		// Background never cancels; a sweep backend that errors anyway
 		// (fault injection) is a harness misuse, not a sweep condition.
 		panic(fmt.Sprintf("sweep: %s: %v", sc.ID(), err))
-	}
-	if r.Cache != nil {
-		_ = r.Cache.Put(key, sc.ID(), est.Sample) // best-effort; a full disk must not fail the sweep
 	}
 	return Result{Scenario: sc, Sample: est.Sample, Backend: est.Backend}
 }

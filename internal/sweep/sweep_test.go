@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/coll"
@@ -397,9 +398,9 @@ func TestCacheExpressionRoundTrip(t *testing.T) {
 	if got, ok := cache.GetExpression("feedbead"); !ok || !reflect.DeepEqual(got, e) {
 		t.Fatalf("GetExpression = %+v, %v; want stored expression", got, ok)
 	}
-	// Expressions and samples live in separate namespaces: a sample
-	// under the same key must not satisfy an expression lookup.
-	if _, ok := cache.Get("feedbead"); ok {
+	// Expressions and samples live in separate namespaces: an
+	// expression must not satisfy a sample lookup under the same key.
+	if got := cache.lookup([]string{"feedbead"}); len(got) != 0 {
 		t.Fatal("expression entry served as a sample")
 	}
 	if err := os.WriteFile(filepath.Join(dir, "feedbead.expr.json"), []byte("{nope"), 0o644); err != nil {
@@ -446,6 +447,10 @@ func TestRunnerAnalyticMatchesModel(t *testing.T) {
 	}
 }
 
+// TestCacheIgnoresCorruptEntries: a truncated segment, a garbage
+// segment, a well-formed line carrying another key, and a per-key
+// sample file of the older layout never serve a sample for the wanted
+// key, while intact segments in the same directory still hit.
 func TestCacheIgnoresCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenCache(dir)
@@ -453,33 +458,64 @@ func TestCacheIgnoresCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := measure.Sample{Machine: "SP2", Op: machine.OpBroadcast, P: 4, M: 64, Micros: 12.5}
-	if err := cache.Put("deadbeef", "id", s); err != nil {
+	if err := cache.putSegment([]entry{{Key: "intact", ID: "id", Sample: s}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := cache.Get("deadbeef"); !ok || got != s {
-		t.Fatalf("Get = %+v, %v; want stored sample", got, ok)
+	if got := cache.lookup([]string{"intact"}); len(got) != 1 || got["intact"] != s {
+		t.Fatalf("lookup = %+v; want the stored sample", got)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "deadbeef.json"), []byte("{not json"), 0o644); err != nil {
+
+	wanted := segmentBytes(t, entry{Key: "deadbeef", ID: "id", Sample: s})
+	garbage := append([]byte("{not json\n\x00\xff\n"), bytes.TrimSuffix(wanted, []byte("\n"))...)
+	garbage = append(garbage, " trailing\n"...)
+	corrupt := map[string][]byte{
+		// The line carrying the wanted key loses its tail.
+		"truncated": wanted[:len(wanted)/2],
+		// Garbage, then the wanted key's line with bytes appended.
+		"garbage": garbage,
+		// A well-formed line under another key, in a segment named
+		// for the wanted one.
+		"cafebabe": segmentBytes(t, entry{Key: "feedface", ID: "id", Sample: s}),
+	}
+	for name, data := range corrupt {
+		if err := os.WriteFile(filepath.Join(dir, name+segSuffix), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A per-key sample file of the older layout is not a segment.
+	if err := os.WriteFile(filepath.Join(dir, "deadbeef.json"), wanted, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.Get("deadbeef"); ok {
-		t.Fatal("corrupt entry served as a hit")
+	if got := cache.lookup([]string{"deadbeef", "cafebabe"}); len(got) != 0 {
+		t.Fatalf("corrupt, mismatched or per-key entries served as hits: %+v", got)
 	}
-	// A syntactically valid entry stored under the wrong name must not
-	// satisfy a different key.
-	if err := cache.Put("feedface", "id", s); err != nil {
-		t.Fatal(err)
+	// Intact segments beside them still hit.
+	got := cache.lookup([]string{"deadbeef", "intact", "feedface"})
+	if len(got) != 2 || got["intact"] != s || got["feedface"] != s {
+		t.Fatalf("lookup = %+v; want only the intact segments' samples", got)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "feedface.json"))
+}
+
+// segmentBytes returns the segment putSegment writes for entries.
+func segmentBytes(t *testing.T, entries ...entry) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "cafebabe.json"), data, 0o644); err != nil {
+	if err := cache.putSegment(entries); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.Get("cafebabe"); ok {
-		t.Fatal("entry with mismatched key served as a hit")
+	names := dirNames(t, dir)
+	if len(names) != 1 || !strings.HasSuffix(names[0], segSuffix) {
+		t.Fatalf("one put left %v, want one segment", names)
 	}
+	data, err := os.ReadFile(filepath.Join(dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestNilCacheIsNoOp(t *testing.T) {
@@ -490,10 +526,10 @@ func TestNilCacheIsNoOp(t *testing.T) {
 	if c != nil {
 		t.Fatal("empty dir should disable caching")
 	}
-	if _, ok := c.Get("k"); ok {
+	if got := c.lookup([]string{"k"}); len(got) != 0 {
 		t.Fatal("nil cache hit")
 	}
-	if err := c.Put("k", "id", measure.Sample{}); err != nil {
+	if err := c.putSegment([]entry{{Key: "k", ID: "id"}}); err != nil {
 		t.Fatal(err)
 	}
 }
