@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/estimate"
+	"repro/internal/fit"
 	"repro/internal/machine"
 	"repro/internal/measure"
 	"repro/internal/mpi"
+	"repro/internal/paper"
 	"repro/internal/sim"
 	"repro/internal/stap"
 )
@@ -83,35 +85,47 @@ func BenchmarkFig3_MachineSizeSweep(b *testing.B) {
 // --- Fig. 4: startup/transmission breakdown --------------------------
 
 func BenchmarkFig4_Breakdown(b *testing.B) {
-	e := core.New(benchCfg, core.WithLengths(4, 1024))
-	var rows []core.Fig4Row
+	const p, msg = 32, 1024
+	var total float64
 	for i := 0; i < b.N; i++ {
-		rows = e.Fig4()
-	}
-	// Report the paper's §7 headline: the Paragon total-exchange bar.
-	for _, r := range rows {
-		if r.Machine == "Paragon" && r.Op == machine.OpAlltoall {
-			reportSim(b, r.Total)
+		for _, op := range paper.SixOps {
+			for _, mach := range machine.All() {
+				measure.StartupLatency(mach, op, p, benchCfg)
+				t := measure.MeasureOp(mach, op, p, msg, benchCfg).Micros
+				// Report the paper's §7 headline: the Paragon
+				// total-exchange bar.
+				if mach.Name() == "Paragon" && op == machine.OpAlltoall {
+					total = t
+				}
+			}
 		}
 	}
+	reportSim(b, total)
 }
 
 // --- Fig. 5: aggregated bandwidths -----------------------------------
 
 func BenchmarkFig5_AggregatedBandwidth(b *testing.B) {
+	lengths := []int{4, 16384, 65536}
 	for _, mach := range machine.All() {
 		b.Run(mach.Name()+"/alltoall/p=64", func(b *testing.B) {
-			e := core.New(benchCfg,
-				core.WithMachines(mach), core.WithLengths(4, 16384, 65536))
-			var rows []core.Fig5Row
+			var bw float64
 			for i := 0; i < b.N; i++ {
-				rows = e.Fig5()
-			}
-			for _, r := range rows {
-				if r.Op == machine.OpAlltoall && r.P == 64 {
-					b.ReportMetric(r.MBs, "simulated-MB/s")
+				for _, op := range paper.SixOps {
+					for _, p := range paper.Fig5Sizes {
+						if p > mach.MaxNodes() {
+							continue
+						}
+						// R∞(p) = f(p)/s(p) from the m-sweep (§8).
+						d := estimate.BuildDataset(mach, op, mpi.DefaultAlgorithms(mach), []int{p}, lengths, benchCfg)
+						s, _ := d.PerByteSlope(p, lengths[0])
+						if op == machine.OpAlltoall && p == 64 && s > 0 {
+							bw = paper.AggregatedMultiplier(op, p) / s
+						}
+					}
 				}
 			}
+			b.ReportMetric(bw, "simulated-MB/s")
 		})
 	}
 }
@@ -121,13 +135,20 @@ func BenchmarkFig5_AggregatedBandwidth(b *testing.B) {
 func BenchmarkTable3_FitExpressions(b *testing.B) {
 	for _, mach := range machine.All() {
 		b.Run(mach.Name(), func(b *testing.B) {
-			e := core.New(benchCfg,
-				core.WithMachines(mach), core.WithMaxNodes(32),
-				core.WithLengths(4, 4096, 65536))
+			var sizes []int
+			for _, p := range paper.MachineSizes(mach.Name()) {
+				if p <= 32 {
+					sizes = append(sizes, p)
+				}
+			}
 			for i := 0; i < b.N; i++ {
-				fitted := e.Table3()
-				if len(fitted[mach.Name()]) != len(machine.Ops) {
-					b.Fatal("incomplete fit")
+				for _, op := range machine.Ops {
+					lengths := []int{4, 4096, 65536}
+					if op == machine.OpBarrier {
+						lengths = []int{0}
+					}
+					d := estimate.BuildDataset(mach, op, mpi.DefaultAlgorithms(mach), sizes, lengths, benchCfg)
+					fit.TwoStage(d, paper.StartupShape(op), paper.PerByteShape(mach.Name(), op))
 				}
 			}
 		})

@@ -2,24 +2,30 @@
 // table of the paper plus all quoted spot values — and writes
 // EXPERIMENTS.md with paper-vs-measured numbers.
 //
-// The full grid T(m, p) is measured once per (machine, operation) and
-// every artifact is derived from that cache, so the document is
-// self-consistent.
+// The full grid T(m, p) is measured once per (machine, operation)
+// through the sweep engine and every artifact is derived from it, so the
+// document is self-consistent and a pure function of the methodology
+// and the backend. Series the document only summarises come from
+// cmd/sweep: the Fig. 1–3 series are the rows of
+//
+//	sweep -algs default -p 2,4,8,16,32,64,128 -csv f.csv
 //
 // Usage:
 //
-//	experiments                  # fast methodology (~2 min)
+//	experiments                  # fast methodology (~10 s)
 //	experiments -paper           # paper-faithful k=20 × 5 reps (slow)
-//	experiments -out /tmp/e.md
+//	experiments -cache .gridcache -out /tmp/e.md
+//	experiments -backend analytic
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/estimate"
@@ -36,15 +42,30 @@ type grid struct {
 	cfg     measure.Config
 	backend estimate.Backend
 	data    map[string]map[machine.Op]*fit.Dataset
+	// offGrid holds points outside the §2 sweep (e.g. the §8 example's
+	// m=512), estimated on first use. They stay out of data so the
+	// slopes fitted from the grid never depend on lookup order.
+	offGrid map[offGridKey]float64
+}
+
+type offGridKey struct {
+	mach string
+	op   machine.Op
+	p, m int
 }
 
 // buildGrid estimates the full T(m, p) grid for every machine and
 // operation through the sweep engine under the chosen backend: grid
 // points run sharded across all cores, and cache (when non-nil) holds
 // content-keyed results that survive across runs and self-invalidate
-// when presets, the methodology, or the backend change.
-func buildGrid(cfg measure.Config, backend estimate.Backend, cache *sweep.Cache) *grid {
-	g := &grid{cfg: cfg, backend: backend, data: map[string]map[machine.Op]*fit.Dataset{}}
+// when presets, the methodology, or the backend change. Progress lines
+// go to log.
+func buildGrid(cfg measure.Config, backend estimate.Backend, cache *sweep.Cache, log io.Writer) (*grid, error) {
+	g := &grid{
+		cfg: cfg, backend: backend,
+		data:    map[string]map[machine.Op]*fit.Dataset{},
+		offGrid: map[offGridKey]float64{},
+	}
 	for _, m := range machine.All() {
 		row := map[machine.Op]*fit.Dataset{}
 		for _, op := range machine.Ops {
@@ -55,33 +76,33 @@ func buildGrid(cfg measure.Config, backend estimate.Backend, cache *sweep.Cache)
 			}
 			scns, err := spec.Expand()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+				return nil, err
 			}
-			fmt.Fprintf(os.Stderr, "  measuring %s %s (%d grid points)\n",
+			fmt.Fprintf(log, "  measuring %s %s (%d grid points)\n",
 				m.Name(), op, len(scns))
 			results := (&sweep.Runner{Cache: cache, Backend: backend}).Run(scns)
 			row[op] = sweep.ToDataset(results)
 		}
 		g.data[m.Name()] = row
 	}
-	return g
+	return g, nil
 }
 
 func (g *grid) at(mach string, op machine.Op, p, m int) float64 {
-	v, ok := g.data[mach][op].At(p, m)
-	if !ok {
-		// Off-grid point (e.g. the §8 example's m=512, which the §2
-		// factor-of-4 sweep skips): estimate it directly and keep it.
-		mc := machine.ByName(mach)
-		est, err := g.backend.Estimate(context.Background(), mc, op, mpi.DefaultAlgorithms(mc), p, m, g.cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %s/%s p=%d m=%d: %v", mach, op, p, m, err))
-		}
-		v = est.Sample.Micros
-		g.data[mach][op].Add(p, m, v)
+	if v, ok := g.data[mach][op].At(p, m); ok {
+		return v
 	}
-	return v
+	k := offGridKey{mach, op, p, m}
+	if v, ok := g.offGrid[k]; ok {
+		return v
+	}
+	mc := machine.ByName(mach)
+	est, err := g.backend.Estimate(context.Background(), mc, op, mpi.DefaultAlgorithms(mc), p, m, g.cfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s/%s p=%d m=%d: %v", mach, op, p, m, err))
+	}
+	g.offGrid[k] = est.Sample.Micros
+	return est.Sample.Micros
 }
 
 // t0 is the paper's startup estimate: the shortest-message timing.
@@ -92,50 +113,35 @@ func (g *grid) t0(mach string, op machine.Op, p int) float64 {
 	return g.at(mach, op, p, 4)
 }
 
-// slope returns s(p) in µs/byte via a through-origin fit of D(m,p).
-func (g *grid) slope(mach string, op machine.Op, p int) float64 {
-	d := g.data[mach][op]
-	base := g.t0(mach, op, p)
-	var xs, ys []float64
-	for _, m := range d.Lengths() {
-		if m <= 4 {
-			continue
-		}
-		if v, ok := d.At(p, m); ok {
-			xs = append(xs, float64(m-4))
-			ys = append(ys, v-base)
-		}
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	a, _ := fit.ThroughOrigin(xs, ys)
-	return a
-}
-
+// bandwidth is the §8 aggregated bandwidth R∞(p) = f(p)/s(p), with the
+// per-byte slope s(p) fitted over the grid's lengths above 4 bytes.
 func (g *grid) bandwidth(mach string, op machine.Op, p int) float64 {
-	s := g.slope(mach, op, p)
+	s, _ := g.data[mach][op].PerByteSlope(p, 4)
 	if s <= 0 {
 		return 0
 	}
 	return paper.AggregatedMultiplier(op, p) / s
 }
 
+// methodology returns the measurement procedure and its label in the
+// document header.
+func methodology(paperCfg bool) (measure.Config, string) {
+	if paperCfg {
+		return measure.Paper(), "paper-faithful (warm-up 2, k=20, 5 executions)"
+	}
+	return measure.Fast(), "fast (warm-up 1, k=3, 2 executions)"
+}
+
 func main() {
 	var (
 		out      = flag.String("out", "EXPERIMENTS.md", "output path")
 		paperCfg = flag.Bool("paper", false, "paper-faithful methodology (slow)")
-		cacheDir = flag.String("cache", "", "directory for grid CSV cache (reused across runs)")
+		cacheDir = flag.String("cache", "", "sweep cache directory (reused across runs)")
 		backendF = flag.String("backend", "sim", "estimation backend: sim (measure the grid), calibrated (fit once, serve closed-form), or analytic (paper expressions — a self-consistency run)")
 	)
 	flag.Parse()
 
-	cfg := measure.Fast()
-	method := "fast (warm-up 1, k=3, 2 executions)"
-	if *paperCfg {
-		cfg = measure.Paper()
-		method = "paper-faithful (warm-up 2, k=20, 5 executions)"
-	}
+	cfg, method := methodology(*paperCfg)
 	cache, err := sweep.OpenCache(*cacheDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "  disabling cache: %v\n", err)
@@ -159,17 +165,39 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: unknown backend %q\n", *backendF)
 		os.Exit(2)
 	}
-	method += fmt.Sprintf("; %s backend", backend.Name())
 	start := time.Now()
-	g := buildGrid(cfg, backend, cache)
+	g, err := buildGrid(cfg, backend, cache, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	var b bytes.Buffer
+	if err := render(&b, g, method); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	if err := os.WriteFile(*out, b.Bytes(), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes) in %s\n", *out, b.Len(), time.Since(start).Round(time.Second))
+}
 
-	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
+// render writes EXPERIMENTS.md for the grid g, measured under the
+// methodology labelled method. The bytes depend only on the grid's
+// methodology and backend.
+func render(out io.Writer, g *grid, method string) error {
+	var err error
+	w := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(out, format+"\n", args...)
+		}
+	}
 
 	w("# EXPERIMENTS — paper vs reproduction")
 	w("")
-	w("Generated by `go run ./cmd/experiments` (methodology: %s; grid", method)
-	w("build time %s). Machines are simulated; DESIGN.md §2 records the", time.Since(start).Round(time.Second))
+	w("Generated by `go run ./cmd/experiments` (methodology: %s; %s backend).", method, g.backend.Name())
+	w("Machines are simulated; DESIGN.md §2 records the")
 	w("substitutions. `ratio` is always measured/paper. Absolute agreement is")
 	w("calibrated (Table 3 is the only surviving ground truth); the claims to")
 	w("check are the *shapes*: who wins, where, by roughly how much.")
@@ -281,7 +309,7 @@ func main() {
 		}
 		w("")
 	}
-	w("(total exchange shown; the full per-op series print via `go run ./cmd/figures -artifact fig3`)")
+	w("(total exchange shown; the full per-op series are the rows of `go run ./cmd/sweep -algs default -p 2,4,8,16,32,64,128 -csv f.csv`)")
 	w("")
 
 	// ---- Fig. 4 -------------------------------------------------------
@@ -402,7 +430,7 @@ func main() {
 	w("| machine | t0 (µs) | r∞ (MB/s) | n½ (bytes) | raw link (MB/s) |")
 	w("|---|---|---|---|---|")
 	for _, m := range machine.All() {
-		h := measure.HockneyFit(m, cfg)
+		h := measure.HockneyFit(m, g.cfg)
 		w("| %s | %.1f | %.1f | %.0f | %.0f |", m.Name(),
 			h.T0Micros, h.RInfMBs, h.NHalf(), m.Params().Net.LinkBandwidthMBs)
 	}
@@ -443,10 +471,5 @@ func main() {
 	w("  a measured outlier the paper's own fits understate (their maximum is")
 	w("  ≈347 ms for the SP2 total exchange); we reproduce the fit, not the")
 	w("  outlier.")
-
-	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes) in %s\n", *out, b.Len(), time.Since(start).Round(time.Second))
+	return err
 }

@@ -42,7 +42,6 @@
 // byte-identically to the pre-piecewise format (Segments is omitted
 // when empty).
 //
-// Datasets persist as "p,m,micros" CSV (WriteCSV/ReadCSV); fitted
-// expressions persist as JSON through the sweep cache's expression
-// store (see internal/sweep).
+// Fitted expressions persist as JSON through the sweep cache's
+// expression store (see internal/sweep).
 package fit

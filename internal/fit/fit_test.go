@@ -234,35 +234,3 @@ func TestRSquared(t *testing.T) {
 		t.Fatalf("bad fit r² = %v", r)
 	}
 }
-
-func TestDatasetCSVRoundTrip(t *testing.T) {
-	d := &Dataset{}
-	d.Add(2, 4, 35.25)
-	d.Add(64, 65536, 153191.8)
-	d.Add(8, 0, 3.07)
-	var b strings.Builder
-	if err := d.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Points) != 3 {
-		t.Fatalf("%d points", len(got.Points))
-	}
-	for i := range d.Points {
-		if d.Points[i] != got.Points[i] {
-			t.Fatalf("point %d: %+v vs %+v", i, d.Points[i], got.Points[i])
-		}
-	}
-}
-
-func TestReadCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("p,m,micros\n1,2\n")); err == nil {
-		t.Fatal("expected field-count error")
-	}
-	if _, err := ReadCSV(strings.NewReader("x,2,3\n")); err == nil {
-		t.Fatal("expected parse error")
-	}
-}

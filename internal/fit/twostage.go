@@ -59,6 +59,38 @@ func (d *Dataset) At(p, m int) (float64, bool) {
 	return 0, false
 }
 
+// PerByteSlope returns s(p) in µs/byte: the through-origin fit of
+// D(m, p) = T(m, p) − T(m0, p) against m − m0 over every length above
+// m0 measured at p. The §8 aggregated bandwidth R∞(p) is f(p)/s(p).
+// ok is false when (p, m0) or every longer length is missing.
+func (d *Dataset) PerByteSlope(p, m0 int) (s float64, ok bool) {
+	return d.perByteSlope(p, m0, d.Lengths())
+}
+
+// perByteSlope is PerByteSlope over the dataset's sorted lengths, which
+// TwoStage computes once for all sizes.
+func (d *Dataset) perByteSlope(p, m0 int, lengths []int) (s float64, ok bool) {
+	base, ok := d.At(p, m0)
+	if !ok {
+		return 0, false
+	}
+	var xs, ys []float64
+	for _, m := range lengths {
+		if m <= m0 {
+			continue
+		}
+		if v, ok := d.At(p, m); ok {
+			xs = append(xs, float64(m-m0))
+			ys = append(ys, v-base)
+		}
+	}
+	if len(xs) == 0 {
+		return 0, false
+	}
+	s, _ = ThroughOrigin(xs, ys)
+	return s, true
+}
+
 // TwoStage fits a Table 3 expression from a dataset using the paper's
 // procedure (§3, "Startup latency … approximated by measuring the
 // collective messaging time for a zero-byte or a short message"):
@@ -87,18 +119,7 @@ func TwoStage(d *Dataset, startupHint, perByteHint FormKind) Expression {
 			panic("fit: dataset missing shortest-message point")
 		}
 		t0 = append(t0, base)
-		var xs, ys []float64
-		for _, m := range lengths {
-			if m == mMin {
-				continue
-			}
-			if v, ok := d.At(p, m); ok {
-				xs = append(xs, float64(m-mMin))
-				ys = append(ys, v-base)
-			}
-		}
-		if len(xs) > 0 {
-			a, _ := ThroughOrigin(xs, ys)
+		if a, ok := d.perByteSlope(p, mMin, lengths); ok {
 			slope = append(slope, a)
 		}
 	}

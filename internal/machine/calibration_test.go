@@ -5,7 +5,7 @@ package machine_test
 // guardrail for the constants in presets.go — if a change to the
 // simulator or the algorithms moves the calibration, this test names the
 // point that drifted. Tolerances are deliberately loose (the shape tests
-// in internal/core are the real acceptance criteria); documented
+// in internal/paper are the real acceptance criteria); documented
 // deviations get explicit wider bounds.
 
 import (

@@ -50,23 +50,7 @@ type Network struct {
 	transfers   uint64
 	bytesMoved  uint64
 	contendedNs sim.Duration
-
-	observer func(TransferEvent)
 }
-
-// TransferEvent describes one completed path reservation, for tracing.
-type TransferEvent struct {
-	Src, Dst int
-	Size     int
-	Ready    sim.Time // when the sender was ready to inject
-	Start    sim.Time // when the path was acquired
-	Arrive   sim.Time // when the last byte reaches the destination
-	Hops     int
-}
-
-// SetObserver installs a callback invoked synchronously for every
-// network transfer (nil to disable). Used by the trace package.
-func (n *Network) SetObserver(fn func(TransferEvent)) { n.observer = fn }
 
 // New returns a network over the given topology.
 func New(k *sim.Kernel, topo topology.Topology, p Params) *Network {
@@ -179,12 +163,6 @@ func (n *Network) TransferDetail(src, dst int, size int, ready sim.Time, injMBs 
 
 	n.transfers++
 	n.bytesMoved += uint64(size)
-	if n.observer != nil {
-		n.observer(TransferEvent{
-			Src: src, Dst: dst, Size: size,
-			Ready: ready, Start: start, Arrive: done, Hops: len(path),
-		})
-	}
 	return start.Add(serEnd), done
 }
 

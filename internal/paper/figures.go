@@ -2,72 +2,11 @@ package paper
 
 import "repro/internal/machine"
 
-// Artifact identifies a figure or table of the paper's evaluation.
-type Artifact struct {
-	ID      string // "fig1" … "fig5", "table3"
-	Caption string
-	Ops     []machine.Op
-	// Fixed parameters; zero means "swept".
-	FixedP int
-	FixedM []int // message lengths held fixed (fig3 uses two)
-}
-
 // SixOps are the operations of Figs. 1, 2, 4 and 5 (barrier excluded —
 // it has no message payload).
 var SixOps = []machine.Op{
 	machine.OpBroadcast, machine.OpAlltoall, machine.OpScatter,
 	machine.OpGather, machine.OpScan, machine.OpReduce,
-}
-
-// Artifacts lists every evaluation artifact to reproduce.
-var Artifacts = []Artifact{
-	{
-		ID:      "fig1",
-		Caption: "Startup latencies T0(p) of six MPI collective operations over three multicomputers with 2 to 128 nodes",
-		Ops:     SixOps,
-	},
-	{
-		ID:      "fig2",
-		Caption: "Collective messaging times T(m,32) of six MPI collective operations as a function of the message length",
-		Ops:     SixOps,
-		FixedP:  32,
-	},
-	{
-		ID:      "fig3",
-		Caption: "Collective messaging times T(m,p) as a function of machine size for short (16 B) and long (64 KB) messages",
-		Ops: []machine.Op{
-			machine.OpBroadcast, machine.OpAlltoall, machine.OpScatter,
-			machine.OpGather, machine.OpScan, machine.OpReduce, machine.OpBarrier,
-		},
-		FixedM: []int{16, 65536},
-	},
-	{
-		ID:      "fig4",
-		Caption: "Breakdown of timing results in six MPI collective operations over p=32 nodes with m=1 KB per message",
-		Ops:     SixOps,
-		FixedP:  32,
-		FixedM:  []int{1024},
-	},
-	{
-		ID:      "fig5",
-		Caption: "Aggregated bandwidths in performing different collective MPI operations on three machine sizes",
-		Ops:     SixOps,
-	},
-	{
-		ID:      "table3",
-		Caption: "Timing expressions for collective communications on three MPPs",
-		Ops:     machine.Ops,
-	},
-}
-
-// ArtifactByID returns the artifact with the given id, or nil.
-func ArtifactByID(id string) *Artifact {
-	for i := range Artifacts {
-		if Artifacts[i].ID == id {
-			return &Artifacts[i]
-		}
-	}
-	return nil
 }
 
 // Fig5Sizes are the three machine sizes of Fig. 5's bar groups.

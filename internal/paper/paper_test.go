@@ -179,24 +179,9 @@ func TestSweepsMatchSection2(t *testing.T) {
 	}
 }
 
-func TestArtifactsCoverEverything(t *testing.T) {
-	ids := map[string]bool{}
-	for _, a := range Artifacts {
-		ids[a.ID] = true
-		if len(a.Ops) == 0 {
-			t.Errorf("%s has no operations", a.ID)
-		}
-	}
-	for _, want := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "table3"} {
-		if !ids[want] {
-			t.Errorf("missing artifact %s", want)
-		}
-	}
-	if ArtifactByID("fig3").FixedM[0] != 16 || ArtifactByID("fig3").FixedM[1] != 65536 {
-		t.Error("fig3 uses 16 B and 64 KB messages")
-	}
-	if ArtifactByID("nope") != nil {
-		t.Error("phantom artifact")
+func TestSpotChecksCovered(t *testing.T) {
+	if len(Reported) < 10 {
+		t.Fatalf("only %d reported spot values transcribed", len(Reported))
 	}
 }
 

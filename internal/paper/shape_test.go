@@ -1,10 +1,16 @@
-package core
+// The tests of this external package check the paper's claims against
+// the simulator. They live outside package paper because measure
+// imports it.
+package paper_test
 
 import (
 	"testing"
 
+	"repro/internal/estimate"
 	"repro/internal/machine"
 	"repro/internal/measure"
+	"repro/internal/mpi"
+	"repro/internal/paper"
 )
 
 // These tests assert the paper's headline *shape* claims against the
@@ -16,6 +22,19 @@ var shapeCfg = measure.Config{Warmup: 1, K: 2, Reps: 1, Seed: 1}
 
 func meas(name string, op machine.Op, p, m int) float64 {
 	return measure.MeasureOp(machine.ByName(name), op, p, m, shapeCfg).Micros
+}
+
+// bandwidth estimates the §8 aggregated bandwidth R∞(p) = f(p)/s(p) in
+// MB/s, with the per-byte slope s(p) fitted over an m-sweep at p whose
+// shortest length (lengths[0]) is the startup baseline.
+func bandwidth(name string, op machine.Op, p int, lengths []int, cfg measure.Config) float64 {
+	m := machine.ByName(name)
+	d := estimate.BuildDataset(m, op, mpi.DefaultAlgorithms(m), []int{p}, lengths, cfg)
+	s, _ := d.PerByteSlope(p, lengths[0])
+	if s <= 0 {
+		return 0
+	}
+	return paper.AggregatedMultiplier(op, p) / s
 }
 
 func TestShapeT3DBarrierAtLeast30xFaster(t *testing.T) {
@@ -106,11 +125,10 @@ func TestShapeParagonScanLatencyBeatsT3D(t *testing.T) {
 func TestShapeAggregatedBandwidthOrderingAndMagnitude(t *testing.T) {
 	// §8: 64-node total exchange reaches 1.745, 0.879, 0.818 GB/s on
 	// T3D, Paragon, SP2 — ordering must hold, magnitudes within 2x.
-	e := New(shapeCfg, WithLengths(4, 16384, 65536))
 	want := map[string]float64{"T3D": 1745, "Paragon": 879, "SP2": 818}
 	got := map[string]float64{}
 	for name, ref := range want {
-		bw := e.bandwidthAt(machine.ByName(name), machine.OpAlltoall, 64)
+		bw := bandwidth(name, machine.OpAlltoall, 64, []int{4, 16384, 65536}, shapeCfg)
 		got[name] = bw
 		if bw < ref/2 || bw > ref*2 {
 			t.Errorf("%s alltoall R∞(64) = %.0f MB/s, paper %v (outside 2x)", name, bw, ref)

@@ -266,8 +266,7 @@ func (c *Cache) writeAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// writeJSON / readJSON are the io-level persistence pair, following the
-// internal/fit persist idiom (WriteCSV/ReadCSV) with JSON framing.
+// writeJSON / readJSON are the io-level persistence pair.
 func writeJSON(w io.Writer, envelope any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

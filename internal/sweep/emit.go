@@ -1,25 +1,25 @@
 package sweep
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
-
-	"repro/internal/report"
 )
 
 // WriteCSV emits one row per scenario — the machine-readable sweep
-// artifact — via the report package's CSV writer.
+// artifact — as RFC 4180 CSV with a header row.
 func WriteCSV(w io.Writer, results []Result) error {
-	header := []string{
+	// The writer buffers; a failed write sticks and Error reports it.
+	cw := csv.NewWriter(w)
+	cw.Write([]string{
 		"machine", "op", "algorithm", "p", "m",
 		"micros", "min_micros", "max_micros", "rank_min", "rank_mean",
 		"seed", "cached", "backend",
-	}
-	rows := make([][]string, 0, len(results))
+	})
 	for _, r := range results {
-		rows = append(rows, []string{
+		cw.Write([]string{
 			r.Scenario.Machine,
 			string(r.Scenario.Op),
 			r.Scenario.Algorithm,
@@ -35,7 +35,8 @@ func WriteCSV(w io.Writer, results []Result) error {
 			r.Backend,
 		})
 	}
-	return report.WriteCSVTable(w, header, rows)
+	cw.Flush()
+	return cw.Error()
 }
 
 // formatMicros keeps CSV output byte-stable across platforms: %g with

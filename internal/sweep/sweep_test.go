@@ -181,6 +181,29 @@ func TestRunnerResultsIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
+// TestWriteCSVRows pins the per-scenario CSV layout that external
+// plotting (and the Fig. 1–3 series) read: a header row, then one row
+// per scenario with round-trip float precision and RFC 4180 quoting.
+func TestWriteCSVRows(t *testing.T) {
+	r := Result{
+		Scenario: Scenario{
+			Machine: "SP2", Op: machine.OpBroadcast, Algorithm: DefaultAlgorithm,
+			P: 2, M: 4, Config: measure.Config{Seed: 1},
+		},
+		Sample:  measure.Sample{Micros: 75.668, MinMicros: 75.5, MaxMicros: 75.9, RankMin: 75.1, RankMean: 35.114999999999995},
+		Backend: "a,b",
+	}
+	var b bytes.Buffer
+	if err := WriteCSV(&b, []Result{r}); err != nil {
+		t.Fatal(err)
+	}
+	want := "machine,op,algorithm,p,m,micros,min_micros,max_micros,rank_min,rank_mean,seed,cached,backend\n" +
+		"SP2,broadcast,default,2,4,75.668,75.5,75.9,75.1,35.114999999999995,1,false,\"a,b\"\n"
+	if got := b.String(); got != want {
+		t.Fatalf("WriteCSV:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestRunnerMatchesSerialMeasureSweep(t *testing.T) {
 	sizes := []int{2, 4, 8}
 	lengths := []int{4, 1024}

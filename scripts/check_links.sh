@@ -1,10 +1,16 @@
 #!/usr/bin/env bash
-# check_links.sh — verify that relative markdown links in the tracked
-# docs point at files that exist in the repository. External links
-# (http/https/mailto) and pure #anchors are skipped so the check stays
-# hermetic; CI gates on it.
+# check_links.sh — verify that the tracked docs only point at files that
+# exist in the repository:
 #
-#   scripts/check_links.sh            # exits non-zero on a broken link
+#   - relative markdown links, in every tracked top-level doc and docs/;
+#   - backticked repo paths (`internal/sweep/doc.go`, `cmd/serve -addr`)
+#     and `go run ./cmd/<name>` commands, in the docs that describe the
+#     current tree: README.md, docs/ and the verify skill.
+#
+# External links (http/https/mailto) and pure #anchors are skipped so the
+# check stays hermetic; CI gates on it.
+#
+#   scripts/check_links.sh            # exits non-zero on a broken link or path
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +34,39 @@ for f in "${files[@]}"; do
 		fi
 	done < <(grep -oE '\]\([^)]+\)' "$f" | sed -E 's/^\]\(//; s/\)$//')
 done
+
+# repo_paths prints the path-like words of file $1: the first word of each
+# inline code span (fenced blocks skipped, spans may wrap lines) and the
+# target of each `go run ./...` command.
+repo_paths() {
+	awk '/^[[:space:]]*```/ { fence = !fence; next } !fence { printf "%s ", $0 }' "$1" |
+		grep -oE '`[^`]+`' | tr -d '`' | awk '{ print $1 }' || true
+	grep -oE 'go run \./[A-Za-z0-9_./-]+' "$1" | sed 's/^go run //' || true
+}
+
+for f in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+	[ -f "$f" ] || continue
+	while IFS= read -r word; do
+		path="${word#./}"
+		top="${path%%/*}"
+		# Only words under a directory of this repository are paths;
+		# /tmp/..., URLs and plain identifiers are not.
+		[ "$path" != "$top" ] && [ -n "$top" ] && [ -d "$top" ] || continue
+		case "$path" in
+		*'<'* | *'{'* | *'$'*) continue ;; # placeholders
+		esac
+		path="${path%%.[[:upper:]]*}" # internal/estimate.Backend names a package
+		if [[ "$path" == *'*'* ]]; then
+			compgen -G "$path" >/dev/null && continue
+		elif [ -e "$path" ]; then
+			continue
+		fi
+		echo "check_links: $f: stale repo path -> $word" >&2
+		fail=1
+	done < <(repo_paths "$f")
+done
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "check_links: all relative links resolve" >&2
+echo "check_links: all relative links and repo paths resolve" >&2
