@@ -1,6 +1,7 @@
 // Package repro_test holds the benchmark harness: one benchmark per
 // table and figure of the paper's evaluation section, plus ablation
-// benchmarks over the collective-algorithm choices DESIGN.md calls out.
+// benchmarks over the vendor collective-algorithm choices that
+// docs/ARCHITECTURE.md ("Substitutions") lists.
 //
 // Wall-clock numbers measure the simulator; the reproduced quantity —
 // the simulated collective time in µs — is attached to every benchmark

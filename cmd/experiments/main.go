@@ -197,7 +197,7 @@ func render(out io.Writer, g *grid, method string) error {
 	w("# EXPERIMENTS — paper vs reproduction")
 	w("")
 	w("Generated by `go run ./cmd/experiments` (methodology: %s; %s backend).", method, g.backend.Name())
-	w("Machines are simulated; DESIGN.md §2 records the")
+	w("Machines are simulated; docs/ARCHITECTURE.md (Substitutions) records the")
 	w("substitutions. `ratio` is always measured/paper. Absolute agreement is")
 	w("calibrated (Table 3 is the only surviving ground truth); the claims to")
 	w("check are the *shapes*: who wins, where, by roughly how much.")

@@ -162,8 +162,9 @@ func run() int {
 }
 
 // parseWorkers expands the -workers flag: "name=url" pairs in ring
-// order, scheme filled in when missing. Names are required — they key
-// the per-worker metrics and reload reports.
+// order, scheme filled in when missing and trailing slashes trimmed, so
+// the scrape target URL+"/metrics" never doubles its slash. Names are
+// required — they key the per-worker metrics and reload reports.
 func parseWorkers(spec string) ([]front.Worker, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("no -workers given")
@@ -182,6 +183,7 @@ func parseWorkers(spec string) ([]front.Worker, error) {
 		if !strings.Contains(u, "://") {
 			u = "http://" + u
 		}
+		u = strings.TrimRight(u, "/")
 		out = append(out, front.Worker{Name: strings.TrimSpace(name), URL: u})
 	}
 	return out, nil

@@ -40,7 +40,7 @@
 // ring of request traces — every -trace-sample'th request plus all
 // errors, degraded answers, and requests slower than -trace-slow — is
 // served as line-JSON at GET /debug/traces. Many serve processes
-// aggregate into one fleet view with cmd/fleetstat.
+// aggregate into one fleet view behind cmd/fleetfront (GET /metrics).
 //
 // Resilience: every request runs under a deadline (-request-timeout,
 // or per request via the X-Estimate-Deadline-Ms header); a deadline

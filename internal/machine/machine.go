@@ -9,9 +9,9 @@
 // constants — per-message CPU overheads and effective per-node injection
 // bandwidths, which differ per collective because each vendor MPI used a
 // different code path per operation — are calibrated against the paper's
-// own fitted expressions (Table 3). DESIGN.md §2 documents this
-// substitution: without the 1990s hardware the paper's closed forms are
-// the only available ground truth.
+// own fitted expressions (Table 3). docs/ARCHITECTURE.md
+// ("Substitutions") documents this substitution: without the 1990s
+// hardware the paper's closed forms are the only available ground truth.
 package machine
 
 import (

@@ -44,20 +44,24 @@ func (t Target) name() string {
 	return t.URL
 }
 
+// Scrape rounds keep at most scrapeConcurrency scrapes in flight, and
+// an instance whose last good snapshot is older than staleIntervals
+// scrape periods is marked stale.
+const (
+	scrapeConcurrency = 8
+	staleIntervals    = 3
+)
+
 // Config parameterizes a Scraper. The zero value of each knob picks a
 // usable default.
 type Config struct {
 	Targets []Target
-	// Interval is Run's scrape period; ≤ 0 means 5s.
+	// Interval is Run's scrape period and the unit of the staleness
+	// window; ≤ 0 means 5s.
 	Interval time.Duration
 	// Timeout bounds one target's scrape (connect + read); ≤ 0 means
 	// 2s.
 	Timeout time.Duration
-	// Concurrency bounds in-flight scrapes per round; ≤ 0 means 8.
-	Concurrency int
-	// StaleAfter is how old an instance's last good snapshot may grow
-	// before the instance is marked stale; ≤ 0 means 3 × Interval.
-	StaleAfter time.Duration
 	// Client issues the scrapes; nil uses a dedicated client with
 	// keep-alives (timeouts come from per-scrape contexts, not the
 	// client).
@@ -111,12 +115,6 @@ func New(cfg Config) (*Scraper, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 8
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Interval
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}}
@@ -137,10 +135,10 @@ func New(cfg Config) (*Scraper, error) {
 	return s, nil
 }
 
-// ScrapeOnce polls every target once — at most Concurrency in flight,
-// each bounded by Timeout — and returns how many succeeded.
+// ScrapeOnce polls every target once — at most scrapeConcurrency in
+// flight, each bounded by Timeout — and returns how many succeeded.
 func (s *Scraper) ScrapeOnce(ctx context.Context) int {
-	sem := make(chan struct{}, s.cfg.Concurrency)
+	sem := make(chan struct{}, scrapeConcurrency)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	ok := 0
@@ -241,8 +239,8 @@ type InstanceStatus struct {
 	// Up reports whether the most recent scrape attempt succeeded.
 	Up bool `json:"up"`
 	// Stale reports whether the last good snapshot is older than
-	// StaleAfter (or was never obtained): the instance's series are
-	// still merged but no longer moving.
+	// staleIntervals scrape periods (or was never obtained): the
+	// instance's series are still merged but no longer moving.
 	Stale      bool      `json:"stale"`
 	LastScrape time.Time `json:"last_scrape"`
 	Error      string    `json:"error,omitempty"`
@@ -275,7 +273,7 @@ func (s *Scraper) Status() []InstanceStatus {
 			Name:       inst.target.name(),
 			URL:        inst.target.URL,
 			Up:         inst.scrapes > 0 && inst.lastErr == nil,
-			Stale:      inst.lastGood == nil || now.Sub(inst.lastGoodAt) > s.cfg.StaleAfter,
+			Stale:      inst.lastGood == nil || now.Sub(inst.lastGoodAt) > staleIntervals*s.cfg.Interval,
 			LastScrape: inst.lastGoodAt,
 			Scrapes:    inst.scrapes,
 			Failures:   inst.failures,

@@ -99,7 +99,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			{Name: "w0", URL: w0.ts.URL + "/metrics"},
 			{Name: "w1", URL: w1.ts.URL + "/metrics"},
 		},
-		Interval: time.Minute, Timeout: 5 * time.Second, StaleAfter: 10 * time.Second,
+		Interval: 10 * time.Second, Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	// marks it down and stale, but its last-good snapshot keeps the
 	// fleet totals intact.
 	w1.ts.Close()
-	offset = 30 * time.Second
+	offset = staleIntervals*10*time.Second + time.Second
 	if ok := scraper.ScrapeOnce(context.Background()); ok != 1 {
 		t.Fatalf("post-kill round scraped %d, want 1 (w0 only)", ok)
 	}

@@ -15,8 +15,9 @@ import (
 
 // These tests assert the paper's headline *shape* claims against the
 // simulator — machine rankings, crossovers, and magnitudes. They are the
-// acceptance criteria of the reproduction (DESIGN.md E7), so they run on
-// the real 64-node configurations.
+// acceptance criteria of the reproduction (docs/ARCHITECTURE.md,
+// "Substitutions": the calibration fixes magnitudes, the shapes are what
+// is tested), so they run on the real 64-node configurations.
 
 var shapeCfg = measure.Config{Warmup: 1, K: 2, Reps: 1, Seed: 1}
 

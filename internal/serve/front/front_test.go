@@ -2,6 +2,7 @@ package front
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/measure"
 	"repro/internal/obs"
+	"repro/internal/obs/fleet"
 	"repro/internal/serve"
 	"repro/internal/serve/wire"
 )
@@ -607,6 +609,69 @@ func TestFrontMetricsAndStatus(t *testing.T) {
 	}
 	if len(doc.Workers) != 2 || !doc.Workers[0].Live || !doc.Workers[1].Live {
 		t.Fatalf("status %s", status)
+	}
+}
+
+// TestFrontMergedFleetView: a front built with a real fleet.Scraper
+// over two workers serves the merged fleet view — per-instance series
+// whose sum is exactly the fleet total, plus the scraper's health
+// families — and /status carries one scrape row per worker.
+func TestFrontMergedFleetView(t *testing.T) {
+	memo := estimate.NewSampleMemo()
+	sreg := testRegistry(t, memo)
+	var ring []Worker
+	var targets []fleet.Target
+	for i := 0; i < 2; i++ {
+		w := newWorker(t, fmt.Sprintf("w%d", i), sreg, memo)
+		ring = append(ring, Worker{Name: w.name, URL: w.hs.URL})
+		targets = append(targets, fleet.Target{Name: w.name, URL: w.hs.URL + "/metrics"})
+		// One direct request each, so both instances have traffic
+		// whatever the sharding does.
+		body, _ := json.Marshal(testScenarios()[i])
+		readAll(t, postBody(t, w.hs.URL+"/v1/estimate", "application/json", body, nil))
+	}
+	scraper, err := fleet.New(fleet.Config{Targets: targets, Interval: time.Minute, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Config{Workers: ring, Metrics: NewMetrics(obs.NewRegistry(), WorkerNames(ring)), Scraper: scraper})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(f.Handler())
+	t.Cleanup(hs.Close)
+	body, _ := json.Marshal(testScenarios())
+	readAll(t, postBody(t, hs.URL+"/v1/estimate", "application/json", body, nil))
+	if ok := scraper.ScrapeOnce(context.Background()); ok != 2 {
+		t.Fatalf("scraped %d of 2 workers", ok)
+	}
+
+	metrics := string(readAll(t, postGet(t, hs.URL+"/metrics")))
+	vals := promValues(t, metrics)
+	const ok = `serve_requests_total{outcome="ok"`
+	w0, w1 := vals[ok+`,instance="w0"}`], vals[ok+`,instance="w1"}`]
+	if total := vals[ok+"}"]; w0 == 0 || w1 == 0 || total != w0+w1 {
+		t.Fatalf("fleet total %d, want w0 %d + w1 %d (both nonzero)\n%s", total, w0, w1, metrics)
+	}
+	for _, w := range []string{"w0", "w1"} {
+		if vals[`fleet_instance_up{instance="`+w+`"}`] != 1 {
+			t.Fatalf("fleet_instance_up for %s missing or 0\n%s", w, metrics)
+		}
+	}
+	if vals[`front_requests_total{outcome="ok"}`] != 1 {
+		t.Fatalf("front's own families missing from the merged view\n%s", metrics)
+	}
+
+	status := readAll(t, postGet(t, hs.URL+"/status"))
+	var doc struct {
+		Scrapes []fleet.InstanceStatus `json:"scrapes"`
+	}
+	if err := json.Unmarshal(status, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Scrapes) != 2 || doc.Scrapes[0].Name != "w0" || doc.Scrapes[1].Name != "w1" ||
+		!doc.Scrapes[0].Up || !doc.Scrapes[1].Up {
+		t.Fatalf("status scrapes %s", status)
 	}
 }
 

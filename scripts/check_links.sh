@@ -5,7 +5,9 @@
 #   - relative markdown links, in every tracked top-level doc and docs/;
 #   - backticked repo paths (`internal/sweep/doc.go`, `cmd/serve -addr`)
 #     and `go run ./cmd/<name>` commands, in the docs that describe the
-#     current tree: README.md, docs/ and the verify skill.
+#     current tree: README.md, docs/ and the verify skill;
+#   - capitalised doc names (`DESIGN.md`, `docs/ARCHITECTURE.md`) cited
+#     by the tracked Go files, README.md, docs/ and the verify skill.
 #
 # External links (http/https/mailto) and pure #anchors are skipped so the
 # check stays hermetic; CI gates on it.
@@ -65,6 +67,32 @@ for f in README.md docs/*.md .claude/skills/verify/SKILL.md; do
 		fail=1
 	done < <(repo_paths "$f")
 done
+
+# A bare NAME.md must be a tracked file at the root or under docs/; a
+# relative path must be tracked as written; an absolute path (/tmp/E.md
+# in a command) is not a repo doc. EXPERIMENTS.md is the one generated
+# name allowed: it is cmd/experiments' -out default, pinned by that
+# command's golden test (cmd/experiments/testdata), and not committed.
+tracked="$(git ls-files)"
+while IFS= read -r hit; do
+	f="${hit%%:*}"
+	name="${hit#*:}"
+	name="${name#./}"
+	case "$name" in
+	/* | EXPERIMENTS.md) continue ;;
+	*/*) candidates="$name" ;;
+	*) candidates="$name docs/$name" ;;
+	esac
+	found=0
+	for c in $candidates; do
+		grep -qxF "$c" <<<"$tracked" && found=1
+	done
+	if [ "$found" -eq 0 ]; then
+		echo "check_links: $f: names a missing doc -> $name" >&2
+		fail=1
+	fi
+done < <(git ls-files -z '*.go' README.md 'docs/*.md' .claude/skills/verify/SKILL.md |
+	xargs -0 grep -oE '[A-Za-z0-9_./-]*[A-Z][A-Z0-9_]*\.md\b' || true)
 
 if [ "$fail" -ne 0 ]; then
 	exit 1
