@@ -40,8 +40,7 @@ func main() {
 		p         = flag.Int("p", 64, "machine size (nodes)")
 		m         = flag.Int("m", 1024, "message length per node pair (bytes)")
 		crossover = flag.String("crossover", "", "pair \"A,B\": message size where B overtakes A")
-		registryF = flag.String("registry", "", "expression set from the registry (see -list-registries); overrides -backend")
-		backendF  = flag.String("backend", "paper", `legacy expression source: "paper" (= paper-table3), "calibrated" (= refit-default), or "piecewise" (= refit-piecewise)`)
+		registryF = flag.String("registry", "", `expression set from the registry (see -list-registries); "" = paper-table3 locally, the server's default with -remote`)
 		cacheDir  = flag.String("cache", "", "sweep cache directory persisting calibrated expressions")
 		listReg   = flag.Bool("list-registries", false, "list the named expression sets and exit")
 		remote    = flag.String("remote", "", "ask a running serve instance at this base URL instead of evaluating locally")
@@ -80,7 +79,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "predict:", err)
 		os.Exit(2)
 	}
-	pr, entry, err := predictor(reg, *registryF, *backendF, op)
+	pr, entry, err := predictor(reg, *registryF, op)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "predict:", err)
 		os.Exit(2)
@@ -138,21 +137,11 @@ func registry(cacheDir string) (*estimate.Registry, error) {
 	return estimate.StandardRegistry(cfg), nil
 }
 
-// predictor resolves the requested registry entry (honoring the legacy
-// -backend spelling) and exports its expressions as a predictor.
-func predictor(reg *estimate.Registry, registryName, backend string, op machine.Op) (*model.Predictor, *estimate.Entry, error) {
-	name := registryName
+// predictor resolves the requested registry entry ("" meaning
+// paper-table3) and exports its expressions as a predictor.
+func predictor(reg *estimate.Registry, name string, op machine.Op) (*model.Predictor, *estimate.Entry, error) {
 	if name == "" {
-		switch backend {
-		case "paper", "":
-			name = "paper-table3"
-		case "calibrated":
-			name = "refit-default"
-		case "piecewise":
-			name = "refit-piecewise"
-		default:
-			return nil, nil, fmt.Errorf("unknown backend %q (want paper, calibrated, or piecewise; or use -registry)", backend)
-		}
+		name = "paper-table3"
 	}
 	entry, err := reg.Get(name)
 	if err != nil {

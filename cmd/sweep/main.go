@@ -71,10 +71,7 @@ func run() int {
 		derive     = flag.Bool("derive-seeds", false, "give every scenario its own deterministic seed")
 		paperCfg   = flag.Bool("paper", false, "paper-faithful methodology (warm-up 2, k=20, 5 reps; slow)")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		adaptive   = flag.Bool("adaptive", false, "calibrated backend: stop a triple's calibration sweep once the fit stabilizes (changes fits; cache keys carry the planner)")
-		tolF       = flag.Float64("tol", 0, "adaptive planner / piecewise probe coefficient-stability tolerance (0 = default 0.02)")
 		piecewise  = flag.Bool("piecewise", false, "calibrated backend: fit protocol-aware piecewise segments per triple instead of one affine model (closes the mid-length error gap; cache keys carry the fit family)")
-		maxSeg     = flag.Int("max-segments", 0, "piecewise fit: maximum number of affine segments (0 = no cap beyond detected regime boundaries)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep here")
 		memProfile = flag.String("memprofile", "", "write a heap profile (taken after the sweep) here")
 		obsF       = flag.Bool("obs", false, "collect run metrics (cache outcomes, phase timings, memo and kernel counters) and print the snapshot to stderr afterwards")
@@ -162,17 +159,16 @@ func run() int {
 		return 1
 	}
 
-	planner := estimate.Planner{Adaptive: *adaptive, RelTol: *tolF}
-	fitCfg := estimate.FitConfig{Piecewise: *piecewise, MaxSegments: *maxSeg, RelTol: *tolF}
+	fitCfg := estimate.FitConfig{Piecewise: *piecewise}
 
 	if *validate {
-		code := runValidate(scns, spec, *backendF, planner, fitCfg, cache, *workers, *outPath, *csvPath, *quiet, obsReg)
+		code := runValidate(scns, spec, *backendF, fitCfg, cache, *workers, *outPath, *csvPath, *quiet, obsReg)
 		dumpObs(obsReg)
 		return code
 	}
 
 	memo := estimate.NewSampleMemo()
-	backend, err := buildBackend(*backendF, spec, cfg, planner, fitCfg, cache, memo, *workers)
+	backend, err := buildBackend(*backendF, spec, cfg, fitCfg, cache, memo, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		return 2
@@ -269,7 +265,7 @@ func dumpObs(reg *obs.Registry) {
 // emits the relative-error validation report (plus, with -csv, the
 // per-scenario rows of both passes, distinguished by the backend
 // column). It returns the process exit code.
-func runValidate(scns []sweep.Scenario, spec sweep.Spec, backendName string, planner estimate.Planner, fitCfg estimate.FitConfig, cache *sweep.Cache, workers int, outPath, csvPath string, quiet bool, obsReg *obs.Registry) int {
+func runValidate(scns []sweep.Scenario, spec sweep.Spec, backendName string, fitCfg estimate.FitConfig, cache *sweep.Cache, workers int, outPath, csvPath string, quiet bool, obsReg *obs.Registry) int {
 	if backendName == "sim" || backendName == "" {
 		backendName = "calibrated" // validating sim against itself is vacuous
 	}
@@ -277,7 +273,7 @@ func runValidate(scns []sweep.Scenario, spec sweep.Spec, backendName string, pla
 	// backend's calibration sweep measure many identical cells, so each
 	// is simulated once.
 	memo := estimate.NewSampleMemo()
-	candidate, err := buildBackend(backendName, spec, scnConfig(scns, spec), planner, fitCfg, cache, memo, workers)
+	candidate, err := buildBackend(backendName, spec, scnConfig(scns, spec), fitCfg, cache, memo, workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		return 2
@@ -372,7 +368,12 @@ func countCached(results []sweep.Result) int {
 // methodology, so its fits interpolate exactly where they are asked;
 // memo and workers feed its measurement dedup and calibration pool,
 // and fitCfg selects the expression family (affine vs. piecewise).
-func buildBackend(name string, spec sweep.Spec, cfg measure.Config, planner estimate.Planner, fitCfg estimate.FitConfig, cache *sweep.Cache, memo *estimate.SampleMemo, workers int) (estimate.Backend, error) {
+// Only the calibrated backend fits anything, so a piecewise fitCfg with
+// any other backend is an error rather than a silently ignored flag.
+func buildBackend(name string, spec sweep.Spec, cfg measure.Config, fitCfg estimate.FitConfig, cache *sweep.Cache, memo *estimate.SampleMemo, workers int) (estimate.Backend, error) {
+	if fitCfg.Piecewise && name != "calibrated" {
+		return nil, fmt.Errorf("-piecewise needs the calibrated backend (-backend calibrated, or -validate with -backend sim), not %q", name)
+	}
 	switch name {
 	case "sim", "":
 		return estimate.Sim{Memo: memo}, nil
@@ -381,7 +382,7 @@ func buildBackend(name string, spec sweep.Spec, cfg measure.Config, planner esti
 	case "calibrated":
 		c := &estimate.Calibrated{
 			Config: cfg, Sizes: spec.Sizes, Lengths: spec.Lengths,
-			Planner: planner, Fit: fitCfg, Memo: memo, Workers: workers,
+			Fit: fitCfg, Memo: memo, Workers: workers,
 		}
 		if cache != nil {
 			c.Store = cache

@@ -117,9 +117,8 @@ func calibrationTriples() (out []struct {
 // BenchmarkCalibrationCold calibrates every triple of the default grid
 // from scratch — the measure-then-fit cost the expression cache
 // amortizes away in real use. "sequential" fits triple by triple (the
-// pre-pool shape), "pooled" runs the Precalibrate worker pool, and
-// "adaptive" adds the early-stopping planner. Run with -benchtime 1x
-// for one full cold calibration per variant.
+// pre-pool shape) and "pooled" runs the Precalibrate worker pool. Run
+// with -benchtime 1x for one full cold calibration per variant.
 func BenchmarkCalibrationCold(b *testing.B) {
 	raw := calibrationTriples()
 	triples := make([]estimate.Triple, len(raw))
@@ -149,14 +148,6 @@ func BenchmarkCalibrationCold(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fresh().Precalibrate(triples, 0)
-		}
-		report(b)
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := fresh()
-			c.Planner = estimate.Planner{Adaptive: true}
-			c.Precalibrate(triples, 0)
 		}
 		report(b)
 	})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -179,29 +178,6 @@ func TestCalibrationMatchesSeedAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: calibrated expressions diverged from the seed golden", w)
 		}
-	}
-}
-
-// TestAdaptiveCalibrationDeterministicAcrossWorkers checks the adaptive
-// planner separately: its fits legitimately differ from the full-grid
-// goldens (that is the point), but they must not depend on worker count.
-func TestAdaptiveCalibrationDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibrates the golden triples twice")
-	}
-	fits := make([]map[string]string, 0, 2)
-	for _, w := range []int{1, 8} {
-		c := goldenCalibrated()
-		c.Planner = estimate.Planner{Adaptive: true}
-		c.Precalibrate(goldenTriples(), w)
-		flat := map[string]string{}
-		for k, e := range goldenExpressions(c) {
-			flat[k] = e.String()
-		}
-		fits = append(fits, flat)
-	}
-	if !reflect.DeepEqual(fits[0], fits[1]) {
-		t.Fatal("adaptive calibration depends on worker count")
 	}
 }
 

@@ -27,7 +27,9 @@ const BackendCalibrated = "calibrated"
 // configuration (the adaptive planner changes which grid cells feed a
 // fit). v3: keys carry the fit family (affine vs. piecewise), so every
 // pre-piecewise *.expr.json entry self-invalidates and a piecewise
-// backend can never serve an affine fit or vice versa.
+// backend can never serve an affine fit or vice versa. The planner has
+// since been removed; its key member stays as a fixed zero (see
+// procedureKey), so v3 keys are unchanged.
 const calibrationVersion = 3
 
 // defaultAlg is the algorithm alias meaning "the machine's vendor table
@@ -48,68 +50,6 @@ type ExpressionStore interface {
 	PutExpression(key, id string, e fit.Expression) error
 }
 
-// Planner controls how much of the sizes×lengths calibration grid a
-// triple actually measures. The zero value measures the full cross
-// product, which reproduces the pre-planner calibration bit for bit.
-type Planner struct {
-	// Adaptive, when true, measures message-length columns in
-	// ascending order and stops as soon as refitting with one more
-	// column moves no fitted coefficient by more than RelTol — the
-	// calibration-planning ROADMAP item. Startup-only grids (barrier)
-	// always measure fully.
-	Adaptive bool `json:"adaptive"`
-	// RelTol is the per-coefficient relative stability tolerance;
-	// ≤ 0 means 0.02. A coefficient is stable when
-	// |new−old| ≤ RelTol·max(|new|,|old|) + 1e-9 and its shape (p vs
-	// log p) did not flip.
-	RelTol float64 `json:"rel_tol"`
-	// MinLengths is the number of message-length columns measured
-	// before stability is first tested; ≤ 0 means 3. Values are clamped
-	// to [2, len(lengths)].
-	MinLengths int `json:"min_lengths"`
-}
-
-func (pl Planner) relTol() float64 {
-	if pl.RelTol <= 0 {
-		return 0.02
-	}
-	return pl.RelTol
-}
-
-// normalized canonicalizes the planner for provenance and cache keys:
-// a disabled planner is the zero value whatever its other fields say
-// (they have no effect), and an enabled one pins its defaults and the
-// MinLengths lower clamp, so configurations that compute identically
-// key identically. (MinLengths values above the grid's column count
-// also compute identically but stay distinct here: the backend-level
-// provenance cannot know the per-op column count.)
-func (pl Planner) normalized() Planner {
-	if !pl.Adaptive {
-		return Planner{}
-	}
-	pl.RelTol = pl.relTol()
-	if pl.MinLengths <= 0 {
-		pl.MinLengths = 3
-	} else if pl.MinLengths < 2 {
-		pl.MinLengths = 2
-	}
-	return pl
-}
-
-func (pl Planner) minLengths(total int) int {
-	n := pl.MinLengths
-	if n <= 0 {
-		n = 3
-	}
-	if n < 2 {
-		n = 2
-	}
-	if n > total {
-		n = total
-	}
-	return n
-}
-
 // FitConfig selects the expression family a triple's calibration fits.
 // The zero value fits the paper's affine model (fit.TwoStage); enabling
 // Piecewise fits protocol-aware segments (fit.Piecewise) instead, which
@@ -121,36 +61,35 @@ type FitConfig struct {
 	// chosen by grid-validated error (see fit.Piecewise); K = 1 degrades
 	// to the affine fit, so each triple individually keeps the simpler
 	// model when it already fits.
-	Piecewise bool `json:"piecewise"`
-	// MaxSegments caps K; ≤ 0 means fit.PiecewiseOptions' default — no
-	// cap beyond one segment per detected regime boundary.
-	MaxSegments int `json:"max_segments"`
-	// RelTol is the probe's breakpoint threshold; ≤ 0 means the
-	// default (0.02).
-	RelTol float64 `json:"rel_tol"`
+	Piecewise bool
 }
 
-// normalized canonicalizes the fit config for provenance and keys: a
-// disabled config is the zero value whatever its other fields say, and
-// an enabled one pins its defaults, so configurations that compute
-// identically key identically.
-func (fc FitConfig) normalized() FitConfig {
-	if !fc.Piecewise {
-		return FitConfig{}
-	}
-	if fc.MaxSegments < 0 {
-		fc.MaxSegments = 0 // canonical "uncapped"
-	}
-	if fc.RelTol <= 0 {
-		fc.RelTol = 0.02
-	}
-	return FitConfig{Piecewise: true, MaxSegments: fc.MaxSegments, RelTol: fc.RelTol}
+// procedureKey is the calibration procedure's share of the provenance
+// and expression-key JSON, in the fixed shape those keys have had since
+// calibrationVersion 3. The "planner" member is always zero — every
+// calibration measures the full grid — and "fit" records the family
+// plus fit.Piecewise's tolerance; both keep their old members so that
+// persisted sweep caches, expression files and error tables keep their
+// keys.
+type procedureKey struct {
+	Planner struct {
+		Adaptive   bool    `json:"adaptive"`
+		RelTol     float64 `json:"rel_tol"`
+		MinLengths int     `json:"min_lengths"`
+	} `json:"planner"`
+	Fit struct {
+		Piecewise   bool    `json:"piecewise"`
+		MaxSegments int     `json:"max_segments"`
+		RelTol      float64 `json:"rel_tol"`
+	} `json:"fit"`
 }
 
-// options returns the fit.Piecewise options the config denotes.
-func (fc FitConfig) options() fit.PiecewiseOptions {
-	n := fc.normalized()
-	return fit.PiecewiseOptions{MaxSegments: n.MaxSegments, RelTol: n.RelTol}
+func (fc FitConfig) key() procedureKey {
+	var k procedureKey
+	if fc.Piecewise {
+		k.Fit.Piecewise, k.Fit.RelTol = true, fit.PiecewiseTol
+	}
+	return k
 }
 
 // Calibrated is the measure-then-model backend: on the first request
@@ -178,12 +117,6 @@ type Calibrated struct {
 	// Lengths are the calibration message lengths; nil means
 	// paper.MessageLengths. Barriers always calibrate at length 0.
 	Lengths []int
-	// Planner bounds the measured grid; the zero value measures it
-	// fully. Piecewise calibrations (see Fit) always measure the full
-	// grid — the breakpoint probe scans every column — so the planner is
-	// ignored (and normalized away in provenance) when Fit.Piecewise is
-	// set.
-	Planner Planner
 	// Fit selects the expression family fitted per triple; the zero
 	// value is the paper's affine model.
 	Fit FitConfig
@@ -235,33 +168,21 @@ type Triple struct {
 // Name returns "calibrated".
 func (*Calibrated) Name() string { return BackendCalibrated }
 
-// Provenance hashes the calibration spec (grid, methodology, planner,
-// and fit family), so sweep-cache entries derived from one calibration
-// never serve another.
+// Provenance hashes the calibration spec (grid, methodology and fit
+// family), so sweep-cache entries derived from one calibration never
+// serve another.
 func (c *Calibrated) Provenance() string {
 	blob, err := json.Marshal(struct {
 		V       int            `json:"v"`
 		Sizes   []int          `json:"sizes"`
 		Lengths []int          `json:"lengths"`
 		Config  measure.Config `json:"config"`
-		Planner Planner        `json:"planner"`
-		Fit     FitConfig      `json:"fit"`
-	}{calibrationVersion, c.Sizes, c.Lengths, c.config(), c.planner(), c.Fit.normalized()})
+		procedureKey
+	}{calibrationVersion, c.Sizes, c.Lengths, c.config(), c.Fit.key()})
 	if err != nil {
 		panic(fmt.Sprintf("estimate: calibrated provenance: %v", err))
 	}
 	return hashJSON(blob)
-}
-
-// planner returns the normalized planner that actually governs
-// calibration: piecewise fits measure the full grid, so their planner
-// canonicalizes to the zero value and configurations that compute
-// identically key identically.
-func (c *Calibrated) planner() Planner {
-	if c.Fit.normalized().Piecewise {
-		return Planner{}
-	}
-	return c.Planner.normalized()
 }
 
 // Estimate serves (op, algs, p, m) on mach from the triple's fitted
@@ -429,26 +350,20 @@ func (c *Calibrated) calibrate(mach *machine.Machine, op machine.Op, alg string)
 
 	var key string
 	if c.Store != nil {
-		key = expressionKey(mach, op, alg, sizes, lengths, cfg, c.planner(), c.Fit.normalized())
+		key = expressionKey(mach, op, alg, sizes, lengths, cfg, c.Fit)
 		if e, ok := c.Store.GetExpression(key); ok {
 			c.StoreHits.Inc()
 			return e
 		}
 	}
 	algs := mpi.DefaultAlgorithms(mach).With(op, alg)
+	d := c.Memo.Dataset(mach, op, algs, sizes, lengths, cfg)
 	startupShape := paper.StartupShape(op)
 	perByteShape := paper.PerByteShape(mach.Name(), op)
 	var e fit.Expression
-	switch {
-	case c.Fit.Piecewise:
-		// Piecewise fits measure the full grid: the breakpoint probe
-		// needs every column, so the adaptive planner does not apply.
-		d := c.Memo.Dataset(mach, op, algs, sizes, lengths, cfg)
-		e = fit.Piecewise(d, startupShape, perByteShape, c.Fit.options())
-	case c.Planner.Adaptive && len(lengths) > 2:
-		e = c.adaptiveFit(mach, op, algs, sizes, lengths, cfg, startupShape, perByteShape)
-	default:
-		d := c.Memo.Dataset(mach, op, algs, sizes, lengths, cfg)
+	if c.Fit.Piecewise {
+		e = fit.Piecewise(d, startupShape, perByteShape)
+	} else {
 		e = fit.TwoStage(d, startupShape, perByteShape)
 	}
 	c.Refits.Inc()
@@ -457,39 +372,6 @@ func (c *Calibrated) calibrate(mach *machine.Machine, op machine.Op, alg string)
 		_ = c.Store.PutExpression(key, id, e) // best-effort, like sample caching
 	}
 	return e
-}
-
-// adaptiveFit measures message-length columns — every machine size per
-// column — refitting after each one past the planner's minimum, and
-// stops as soon as the fit stabilizes. The initial set is the shortest
-// MinLengths−1 columns (they anchor the startup term) plus the longest
-// column (it dominates the per-byte slope, and pinning it keeps a
-// mid-range protocol switch — eager to rendezvous — from being
-// extrapolated over); the remaining columns then join in ascending
-// order until two consecutive fits agree within tolerance.
-func (c *Calibrated) adaptiveFit(mach *machine.Machine, op machine.Op, algs mpi.Algorithms, sizes, lengths []int, cfg measure.Config, startupShape, perByteShape fit.FormKind) fit.Expression {
-	d := &fit.Dataset{}
-	measureColumn := func(m int) {
-		for _, p := range sizes {
-			d.Add(p, m, c.Memo.Measure(mach, op, algs, p, m, cfg).Micros)
-		}
-	}
-	min := c.Planner.minLengths(len(lengths))
-	for i := 0; i < min-1; i++ {
-		measureColumn(lengths[i])
-	}
-	measureColumn(lengths[len(lengths)-1])
-	prev := fit.TwoStage(d, startupShape, perByteShape)
-	tol := c.Planner.relTol()
-	for i := min - 1; i < len(lengths)-1; i++ {
-		measureColumn(lengths[i])
-		next := fit.TwoStage(d, startupShape, perByteShape)
-		if fit.Stable(prev, next, tol) {
-			return next
-		}
-		prev = next
-	}
-	return prev
 }
 
 func (c *Calibrated) config() measure.Config {
@@ -518,9 +400,8 @@ func (c *Calibrated) sizesFor(mach *machine.Machine) []int {
 }
 
 // lengthsFor returns the calibration lengths for op, sorted ascending
-// and deduplicated: the fit is order-independent, but the adaptive
-// planner's column schedule (shortest first, longest anchor) and the
-// canonical expression key both rely on the normalized order.
+// and deduplicated: the fit is order-independent, but the canonical
+// expression key relies on the normalized order.
 func (c *Calibrated) lengthsFor(op machine.Op) []int {
 	if op == machine.OpBarrier {
 		return []int{0}
@@ -541,9 +422,9 @@ func (c *Calibrated) lengthsFor(op machine.Op) []int {
 
 // expressionKey is the content key of one triple's fit: identical
 // calibration inputs — machine constants, operation, resolved
-// algorithm, grid, methodology, planner, fit family — always produce
-// the same key, and any drift produces a different one.
-func expressionKey(mach *machine.Machine, op machine.Op, alg string, sizes, lengths []int, cfg measure.Config, pl Planner, fc FitConfig) string {
+// algorithm, grid, methodology, fit family — always produce the same
+// key, and any drift produces a different one.
+func expressionKey(mach *machine.Machine, op machine.Op, alg string, sizes, lengths []int, cfg measure.Config, fc FitConfig) string {
 	blob, err := json.Marshal(struct {
 		V           int            `json:"v"`
 		Calibration string         `json:"calibration"`
@@ -552,9 +433,8 @@ func expressionKey(mach *machine.Machine, op machine.Op, alg string, sizes, leng
 		Sizes       []int          `json:"sizes"`
 		Lengths     []int          `json:"lengths"`
 		Config      measure.Config `json:"config"`
-		Planner     Planner        `json:"planner"`
-		Fit         FitConfig      `json:"fit"`
-	}{calibrationVersion, Fingerprint(mach), op, alg, sizes, lengths, cfg, pl, fc})
+		procedureKey
+	}{calibrationVersion, Fingerprint(mach), op, alg, sizes, lengths, cfg, fc.key()})
 	if err != nil {
 		panic(fmt.Sprintf("estimate: expression key %s/%s[%s]: %v", mach.Name(), op, alg, err))
 	}

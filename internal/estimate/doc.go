@@ -27,25 +27,22 @@
 //
 // # Calibration control
 //
-// Calibrated takes three orthogonal knobs. Config sets the measurement
-// methodology (measure.Fast or measure.Paper). Planner bounds how much
-// of the sizes×lengths grid a triple measures: the adaptive planner
-// measures columns shortest-first plus the longest anchor and stops
-// when consecutive refits agree within tolerance. Fit selects the
+// Calibrated takes two orthogonal knobs and always measures the full
+// sizes×lengths grid, as the paper did. Config sets the measurement
+// methodology (measure.Fast or measure.Paper). Fit selects the
 // expression family: the zero value fits the paper's affine model
 // (fit.TwoStage); FitConfig{Piecewise: true} fits protocol-aware
 // segments (fit.Piecewise), which closes the affine model's mid-length
-// error gap and measures the full grid (the breakpoint probe needs
-// every column, so the planner is ignored). All three are part of the
-// backend's provenance and of every expression key, so changing any of
-// them self-invalidates stale persisted fits.
+// error gap. Both are part of the backend's provenance and of every
+// expression key, so changing either self-invalidates stale persisted
+// fits.
 //
 // # Registry and error bounds
 //
 // Registry names complete expression sets as Entries (backend +
 // calibrated envelope + validated error table). StandardRegistry
-// assembles the stock family: paper-table3, refit-default,
-// refit-adaptive, and refit-piecewise. An Entry's ErrorTable — built by
+// assembles the stock family: paper-table3, refit-default and
+// refit-piecewise. An Entry's ErrorTable — built by
 // `cmd/sweep -validate` and persisted in the sweep cache under the
 // backend's provenance key — turns bare predictions into error-bounded
 // ones; Bound (nearest validated length) and BoundIn (confined to a

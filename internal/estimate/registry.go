@@ -244,8 +244,6 @@ var DefaultCalibrationSizes = []int{8, 32}
 //	paper-table3     the paper's published Table 3 (analytic, fixed)
 //	refit-default    expressions recalibrated from the simulator over
 //	                 the calibration grid, full measurement plan
-//	refit-adaptive   the same grid under the adaptive planner (stops a
-//	                 triple's sweep once the fit stabilizes)
 //	refit-piecewise  protocol-aware piecewise fits over the same grid
 //	                 (closes the affine model's mid-length error gap)
 //
@@ -256,19 +254,18 @@ func StandardRegistry(cfg RegistryConfig) *Registry {
 	if len(sizes) == 0 {
 		sizes = DefaultCalibrationSizes
 	}
-	newCalibrated := func(pl Planner, fc FitConfig) *Calibrated {
+	newCalibrated := func(fc FitConfig) *Calibrated {
 		return &Calibrated{
 			Config: cfg.Config, Sizes: sizes, Lengths: cfg.Lengths,
-			Planner: pl, Fit: fc, Store: cfg.Store, Memo: cfg.Memo, Workers: cfg.Workers,
+			Fit: fc, Store: cfg.Store, Memo: cfg.Memo, Workers: cfg.Workers,
 		}
 	}
 	r := NewRegistry()
 	analytic := PaperAnalytic()
-	full := newCalibrated(Planner{}, FitConfig{})
-	adaptive := newCalibrated(Planner{Adaptive: true}, FitConfig{})
-	piecewise := newCalibrated(Planner{}, FitConfig{Piecewise: true})
+	full := newCalibrated(FitConfig{})
+	piecewise := newCalibrated(FitConfig{Piecewise: true})
 	if cfg.Obs != nil {
-		Instrument(cfg.Obs, cfg.Memo, full, adaptive, piecewise)
+		Instrument(cfg.Obs, cfg.Memo, full, piecewise)
 	}
 	for _, e := range []*Entry{
 		{
@@ -282,12 +279,6 @@ func StandardRegistry(cfg RegistryConfig) *Registry {
 			Description: "expressions recalibrated from the simulator (full calibration grid)",
 			Backend:     full,
 			Ranges:      full.Range,
-		},
-		{
-			Name:        "refit-adaptive",
-			Description: "expressions recalibrated under the adaptive planner (early-stopping sweeps)",
-			Backend:     adaptive,
-			Ranges:      adaptive.Range,
 		},
 		{
 			Name:        "refit-piecewise",

@@ -88,7 +88,7 @@ func TestRegistryRegisterAndGet(t *testing.T) {
 
 func TestStandardRegistry(t *testing.T) {
 	r := StandardRegistry(RegistryConfig{Config: tinyCfg})
-	want := []string{"paper-table3", "refit-adaptive", "refit-default", "refit-piecewise"}
+	want := []string{"paper-table3", "refit-default", "refit-piecewise"}
 	names := r.Names()
 	if len(names) != len(want) {
 		t.Fatalf("names %v", names)
@@ -98,8 +98,8 @@ func TestStandardRegistry(t *testing.T) {
 			t.Fatalf("names %v, want %v", names, want)
 		}
 	}
-	// The refit entries must have distinct provenances (the planner is
-	// part of the calibration identity) and both differ from paper's.
+	// The refit entries must have distinct provenances (the fit family
+	// is part of the calibration identity) and both differ from paper's.
 	seen := map[string]bool{}
 	for _, e := range r.Entries() {
 		id := e.Backend.Name() + "\x00" + e.Backend.Provenance()

@@ -27,11 +27,10 @@
 // segments over the measured (log-spaced) length columns instead:
 // breakpoint candidates come from the consecutive-refit-delta probe
 // (refit the affine model column by column; a column that moves the
-// coefficients beyond tolerance marks a regime boundary — the same
-// probe the adaptive calibration planner uses to stop sweeps, exposed
-// here as Stable), and K plus the breakpoint placement are selected by
-// greedy forward selection on the fit's relative error cross-checked
-// against the measured grid. K = 1 degrades to TwoStage exactly, so
+// coefficients by more than PiecewiseTol marks a regime boundary), and
+// K plus the breakpoint placement are selected by greedy forward
+// selection on the fit's relative error cross-checked against the
+// measured grid. K = 1 degrades to TwoStage exactly, so
 // triples the affine model already fits never pay for segments.
 //
 // A piecewise Expression carries its pieces in Segments — adjacent

@@ -17,36 +17,10 @@ type Segment struct {
 	PerByte Form `json:"per_byte"`
 }
 
-// PiecewiseOptions tunes the Piecewise fit. The zero value selects the
-// defaults: as many segments as the probe detects regimes, probe and
-// stopping tolerance 0.02.
-type PiecewiseOptions struct {
-	// MaxSegments caps K, the number of affine pieces; ≤ 0 means no cap
-	// beyond the number of detected regime boundaries (at most one
-	// segment per pair of adjacent length columns).
-	MaxSegments int `json:"max_segments"`
-	// RelTol is the consecutive-refit instability threshold above which
-	// a column boundary becomes a breakpoint candidate, and the
-	// worst-cell error at which segment selection stops splitting;
-	// ≤ 0 means 0.02 (the adaptive planner's default stability
-	// tolerance).
-	RelTol float64 `json:"rel_tol"`
-}
-
-func (o PiecewiseOptions) maxSegments(columns int) int {
-	max := columns - 1 // every segment needs two columns of its own
-	if o.MaxSegments > 0 && o.MaxSegments < max {
-		return o.MaxSegments
-	}
-	return max
-}
-
-func (o PiecewiseOptions) relTol() float64 {
-	if o.RelTol <= 0 {
-		return 0.02
-	}
-	return o.RelTol
-}
+// PiecewiseTol is the consecutive-refit instability threshold above
+// which a column boundary becomes a breakpoint candidate, and the
+// worst-cell relative error at which segment selection stops splitting.
+const PiecewiseTol = 0.02
 
 // Piecewise fits K ≥ 1 affine segments over the dataset's (log-spaced)
 // message-length columns — the protocol-aware refinement of TwoStage
@@ -54,27 +28,27 @@ func (o PiecewiseOptions) relTol() float64 {
 // rendezvous-style handoff) mid-range, where a single affine model
 // carries its worst error.
 //
-// Breakpoint candidates come from the adaptive planner's
-// consecutive-refit-delta probe: columns are refitted in ascending
-// order, and a column whose arrival moves the affine coefficients by
-// more than RelTol marks a regime boundary. K and the breakpoint
-// placement are then selected by grid-validated relative error:
-// greedy forward selection adds, one at a time, the candidate
-// breakpoint whose segmentation best reduces the fit's relative error
-// cross-checked cell by cell against the measured grid (the same
-// in-sample fit-vs-simulator comparison `sweep -validate` runs at
-// scale — deliberately not held-out scoring, which rejects segments
-// that must memorize localized congestion artifacts the serving layer
-// is expected to reproduce), and stops as soon as no candidate
-// improves it, the worst cell already fits within RelTol, or
-// MaxSegments is reached. K = 1 — plain TwoStage — therefore survives
-// whenever the affine model already fits, and only genuinely
-// multi-regime triples pay for segments; the probe threshold, not a
-// held-out set, is what keeps smooth triples unsegmented.
+// Breakpoint candidates come from a consecutive-refit-delta probe:
+// columns are refitted in ascending order, and a column whose arrival
+// moves the affine coefficients by more than PiecewiseTol marks a
+// regime boundary. K and the breakpoint placement are then selected by
+// grid-validated relative error: greedy forward selection adds, one at
+// a time, the candidate breakpoint whose segmentation best reduces the
+// fit's relative error cross-checked cell by cell against the measured
+// grid (the same in-sample fit-vs-simulator comparison
+// `sweep -validate` runs at scale — deliberately not held-out scoring, which
+// rejects segments that must memorize localized congestion artifacts
+// the serving layer is expected to reproduce), and stops as soon as no
+// candidate improves it, the worst cell already fits within
+// PiecewiseTol, or every segment is down to two columns. K = 1 — plain
+// TwoStage — therefore survives whenever the affine model already
+// fits, and only genuinely multi-regime triples pay for segments; the
+// probe threshold, not a held-out set, is what keeps smooth triples
+// unsegmented.
 //
 // Datasets with fewer than four length columns, or startup-only
 // datasets (barrier), always return the plain TwoStage fit.
-func Piecewise(d *Dataset, startupHint, perByteHint FormKind, opt PiecewiseOptions) Expression {
+func Piecewise(d *Dataset, startupHint, perByteHint FormKind) Expression {
 	base := TwoStage(d, startupHint, perByteHint)
 	lengths := d.Lengths()
 	sizes := d.Sizes()
@@ -82,16 +56,17 @@ func Piecewise(d *Dataset, startupHint, perByteHint FormKind, opt PiecewiseOptio
 		return base
 	}
 
-	candidates := probeBreakpoints(d, lengths, startupHint, perByteHint, opt.relTol())
+	candidates := probeBreakpoints(d, lengths, startupHint, perByteHint)
 	if len(candidates) == 0 {
 		return base
 	}
 
-	tol := opt.relTol()
 	best := base
 	bestScore, bestWorst := gridError(d, base)
 	var chosen []int
-	for len(chosen)+1 < opt.maxSegments(len(lengths)) && len(candidates) > 0 && bestWorst > tol {
+	// Adjacent segments share a boundary column, so n columns hold at
+	// most n−1 segments.
+	for len(chosen)+1 < len(lengths)-1 && len(candidates) > 0 && bestWorst > PiecewiseTol {
 		addIdx := -1
 		addScore, addWorst := math.Inf(1), math.Inf(1)
 		var addExpr Expression
@@ -144,12 +119,12 @@ func gridError(d *Dataset, e Expression) (mean, worst float64) {
 
 // probeBreakpoints runs the consecutive-refit-delta probe: TwoStage is
 // refitted on ascending column prefixes, and the boundary before a
-// column whose arrival destabilizes the fit beyond tol becomes a
+// column whose arrival destabilizes the fit beyond PiecewiseTol becomes a
 // breakpoint candidate. Candidates are returned strongest-delta first
 // (ties broken by column order), as indices into lengths; a candidate
 // at index i means "a new regime starts after column i", so segments
 // split sharing column i.
-func probeBreakpoints(d *Dataset, lengths []int, startupHint, perByteHint FormKind, tol float64) []int {
+func probeBreakpoints(d *Dataset, lengths []int, startupHint, perByteHint FormKind) []int {
 	type candidate struct {
 		idx   int
 		delta float64
@@ -158,7 +133,7 @@ func probeBreakpoints(d *Dataset, lengths []int, startupHint, perByteHint FormKi
 	prev := TwoStage(subset(d, lengths[:2]), startupHint, perByteHint)
 	for i := 2; i < len(lengths); i++ {
 		next := TwoStage(subset(d, lengths[:i+1]), startupHint, perByteHint)
-		if delta := refitDelta(prev, next); delta > tol {
+		if delta := refitDelta(prev, next); delta > PiecewiseTol {
 			cands = append(cands, candidate{idx: i - 1, delta: delta})
 		}
 		prev = next
@@ -171,9 +146,8 @@ func probeBreakpoints(d *Dataset, lengths []int, startupHint, perByteHint FormKi
 	return out
 }
 
-// refitDelta is the graded readout of the probe: the largest relative
-// coefficient movement between two consecutive fits, +Inf on a shape
-// flip. (Stable is the boolean readout the adaptive planner uses.)
+// refitDelta is the probe's readout: the largest relative coefficient
+// movement between two consecutive fits, +Inf on a shape flip.
 func refitDelta(a, b Expression) float64 {
 	if a.Startup.Kind != b.Startup.Kind || a.PerByte.Kind != b.PerByte.Kind {
 		return math.Inf(1)
@@ -192,22 +166,6 @@ func refitDelta(a, b Expression) float64 {
 		}
 	}
 	return max
-}
-
-// Stable reports whether two successive fits agree within tol on every
-// coefficient, with no shape flip — the adaptive calibration planner's
-// stopping probe. The absolute 1e-9 slack keeps near-zero coefficients
-// from blocking convergence.
-func Stable(a, b Expression, tol float64) bool {
-	return a.Startup.Kind == b.Startup.Kind && a.PerByte.Kind == b.PerByte.Kind &&
-		coefStable(a.Startup.A, b.Startup.A, tol) &&
-		coefStable(a.Startup.B, b.Startup.B, tol) &&
-		coefStable(a.PerByte.A, b.PerByte.A, tol) &&
-		coefStable(a.PerByte.B, b.PerByte.B, tol)
-}
-
-func coefStable(x, y, tol float64) bool {
-	return math.Abs(x-y) <= tol*math.Max(math.Abs(x), math.Abs(y))+1e-9
 }
 
 // segmentColumns splits the sorted length columns into contiguous

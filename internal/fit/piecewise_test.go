@@ -30,7 +30,7 @@ func TestPiecewiseDegradesToAffineOnAffineData(t *testing.T) {
 		Startup: Form{Kind: Linear, A: 26, B: 8.6},
 		PerByte: Form{Kind: Linear, A: 0.038, B: 0.12},
 	}
-	got := Piecewise(synthDataset(want, 0, 1), Linear, Linear, PiecewiseOptions{})
+	got := Piecewise(synthDataset(want, 0, 1), Linear, Linear)
 	if got.IsPiecewise() {
 		t.Fatalf("affine data produced %d segments: %v", len(got.Segments), got)
 	}
@@ -42,7 +42,7 @@ func TestPiecewiseDegradesToAffineOnAffineData(t *testing.T) {
 
 func TestPiecewiseRecoversProtocolSwitch(t *testing.T) {
 	d := twoRegime(1024)
-	e := Piecewise(d, Linear, Linear, PiecewiseOptions{})
+	e := Piecewise(d, Linear, Linear)
 	if !e.IsPiecewise() {
 		t.Fatalf("two-regime data fitted as plain affine: %v", e)
 	}
@@ -77,14 +77,6 @@ func TestPiecewiseRecoversProtocolSwitch(t *testing.T) {
 	}
 }
 
-func TestPiecewiseRespectsMaxSegments(t *testing.T) {
-	d := twoRegime(256)
-	e := Piecewise(d, Linear, Linear, PiecewiseOptions{MaxSegments: 2})
-	if len(e.Segments) > 2 {
-		t.Fatalf("MaxSegments=2 produced %d segments", len(e.Segments))
-	}
-}
-
 func TestPiecewiseFewColumnsOrBarrierStayAffine(t *testing.T) {
 	d := &Dataset{}
 	for _, p := range []int{8, 32} {
@@ -92,14 +84,14 @@ func TestPiecewiseFewColumnsOrBarrierStayAffine(t *testing.T) {
 			d.Add(p, m, float64(100*p)+0.05*float64(m))
 		}
 	}
-	if e := Piecewise(d, Linear, Linear, PiecewiseOptions{}); e.IsPiecewise() {
+	if e := Piecewise(d, Linear, Linear); e.IsPiecewise() {
 		t.Fatalf("3-column dataset fitted piecewise: %v", e)
 	}
 	b := &Dataset{}
 	for _, p := range []int{2, 4, 8, 16, 32} {
 		b.Add(p, 0, 123*math.Log2(float64(p))-90)
 	}
-	if e := Piecewise(b, Log, Log, PiecewiseOptions{}); e.IsPiecewise() || !e.StartupOnly() {
+	if e := Piecewise(b, Log, Log); e.IsPiecewise() || !e.StartupOnly() {
 		t.Fatalf("barrier dataset fitted piecewise: %v", e)
 	}
 }
@@ -154,31 +146,5 @@ func TestSegmentDispatchAndClamp(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
-	}
-}
-
-func TestStableMatchesAdaptiveProbeSemantics(t *testing.T) {
-	a := Expression{Startup: Form{Kind: Linear, A: 100, B: 5}, PerByte: Form{Kind: Linear, A: 0.1, B: 0}}
-	b := a
-	if !Stable(a, b, 0.02) {
-		t.Fatal("identical fits must be stable")
-	}
-	b.Startup.A = 103 // 3% move
-	if Stable(a, b, 0.02) {
-		t.Fatal("3% coefficient move must not be stable at tol=2%")
-	}
-	if !Stable(a, b, 0.05) {
-		t.Fatal("3% coefficient move must be stable at tol=5%")
-	}
-	b = a
-	b.PerByte.Kind = Log
-	if Stable(a, b, 0.5) {
-		t.Fatal("a shape flip is never stable")
-	}
-	// Near-zero coefficients get the absolute slack.
-	c := Expression{PerByte: Form{A: 1e-12}}
-	d := Expression{PerByte: Form{A: -1e-12}}
-	if !Stable(c, d, 0.02) {
-		t.Fatal("near-zero coefficients must not block stability")
 	}
 }

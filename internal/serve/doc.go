@@ -9,8 +9,8 @@
 //	GET  /v1/registry   the registered expression sets
 //
 // Every request selects a named expression set from an
-// estimate.Registry (paper-table3, refit-default, refit-adaptive,
-// refit-piecewise, or anything the embedding process registered). A
+// estimate.Registry (paper-table3, refit-default, refit-piecewise, or
+// anything the embedding process registered). A
 // batch is evaluated grouped by its distinct (machine, op, algorithm)
 // triples: name binding, the fallback decision and calibration run
 // once per triple, cold calibrated batches bulk-calibrate their

@@ -7,7 +7,11 @@
 #     and `go run ./cmd/<name>` commands, in the docs that describe the
 #     current tree: README.md, docs/ and the verify skill;
 #   - capitalised doc names (`DESIGN.md`, `docs/ARCHITECTURE.md`) cited
-#     by the tracked Go files, README.md, docs/ and the verify skill.
+#     by the tracked Go files, README.md, docs/ and the verify skill;
+#   - command-line flags, in README.md, docs/ and the verify skill: each
+#     -flag after `go run ./cmd/<name>`, or in a backticked
+#     `cmd/<name> -flag` span, must be defined by a flag.*("<flag>"
+#     call in cmd/<name>/*.go.
 #
 # External links (http/https/mailto) and pure #anchors are skipped so the
 # check stays hermetic; CI gates on it.
@@ -94,7 +98,69 @@ while IFS= read -r hit; do
 done < <(git ls-files -z '*.go' README.md 'docs/*.md' .claude/skills/verify/SKILL.md |
 	xargs -0 grep -oE '[A-Za-z0-9_./-]*[A-Z][A-Z0-9_]*\.md\b' || true)
 
+# doc_flags prints "<command> <flag>" for every flag file $1 passes to a
+# repo command: after `go run ./cmd/<name>` up to the end of the shell
+# command (fenced lines joined on a trailing backslash; a pipe,
+# redirect, `&`, `;` or `#` ends it), and after `cmd/<name>` at the
+# start of an inline code span (spans may wrap lines). A token such as
+# -registry/-list-registries names two flags.
+doc_flags() {
+	awk '
+	function flags(name, args,   n, i, t, k, j, part) {
+		n = split(args, t, /[[:space:]]+/)
+		for (i = 1; i <= n; i++) {
+			if (t[i] !~ /^--?[A-Za-z]/) continue
+			sub(/=.*/, "", t[i])
+			k = split(t[i], part, "/")
+			for (j = 1; j <= k; j++)
+				if (part[j] ~ /^--?[A-Za-z][A-Za-z0-9_-]*$/) {
+					sub(/^--?/, "", part[j])
+					print name, part[j]
+				}
+		}
+	}
+	function commands(s,   name, rest) {
+		while (match(s, /go run \.\/cmd\/[A-Za-z0-9_-]+/)) {
+			name = substr(s, RSTART + 13, RLENGTH - 13)
+			s = substr(s, RSTART + RLENGTH)
+			rest = s
+			sub(/[|&;>#].*/, "", rest)
+			flags(name, rest)
+		}
+	}
+	/^[[:space:]]*```/ { fence = !fence; next }
+	fence {
+		line = line $0
+		if (line ~ /\\$/) { sub(/\\$/, " ", line); next }
+		commands(line)
+		line = ""
+		next
+	}
+	{ text = text $0 " " }
+	END {
+		while (match(text, /`[^`]+`/)) {
+			span = substr(text, RSTART + 1, RLENGTH - 2)
+			text = substr(text, RSTART + RLENGTH)
+			if (match(span, /^cmd\/[A-Za-z0-9_-]+[[:space:]]/))
+				flags(substr(span, 5, RLENGTH - 5), substr(span, RLENGTH + 1))
+			else
+				commands(span)
+		}
+	}' "$1"
+}
+
+for f in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+	[ -f "$f" ] || continue
+	while read -r name flag; do
+		# A missing cmd/<name> is reported above as a stale repo path.
+		[ -d "cmd/$name" ] || continue
+		grep -qE "flag\.[A-Za-z0-9]+\(\"$flag\"" "cmd/$name"/*.go && continue
+		echo "check_links: $f: cmd/$name has no -$flag flag" >&2
+		fail=1
+	done < <(doc_flags "$f" | sort -u)
+done
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "check_links: all relative links and repo paths resolve" >&2
+echo "check_links: all relative links, repo paths and command flags resolve" >&2
