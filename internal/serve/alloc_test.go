@@ -1,0 +1,133 @@
+package serve
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/estimate"
+	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/serve/wire"
+	"repro/internal/sweep"
+)
+
+// warmBatchAllocBudget is the allocation budget of one warm
+// 788-scenario binary request through Server.Handler under this test's
+// setup: 41, what the handler allocated before each triple's group was
+// memoized per registry entry (0.052 per scenario). Since then it
+// allocates 20: Request.Decode reuses the table names it decoded
+// before, and the handler parses the query string only when there is
+// one, which more than pays for the Content-Length header. Counts do
+// not drift with host speed, so a rise is a regression on the request
+// path.
+const warmBatchAllocBudget = 41
+
+// rewindBody is a request body the test rewinds between runs, so one
+// *http.Request serves every run and its construction stays out of the
+// count.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// countingWriter is a ResponseWriter that keeps only the status and the
+// body length, so the count is the handler's alone.
+type countingWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *countingWriter) Header() http.Header  { return w.h }
+func (w *countingWriter) WriteHeader(code int) { w.status = code }
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.n += len(b)
+	return len(b), nil
+}
+
+// wireFrame encodes scenarios as one binary request frame, each
+// distinct name once in the string table.
+func wireFrame(registry string, scns []Scenario) []byte {
+	req := wire.Request{Registry: registry}
+	index := map[string]uint32{}
+	intern := func(s string) uint32 {
+		if i, ok := index[s]; ok {
+			return i
+		}
+		index[s] = uint32(len(req.Table))
+		req.Table = append(req.Table, s)
+		return index[s]
+	}
+	for _, sc := range scns {
+		req.Records = append(req.Records, wire.Record{
+			Mach: intern(sc.Machine), Op: intern(sc.Op), Alg: intern(sc.Algorithm), P: sc.P, M: sc.M,
+		})
+	}
+	return req.Append(nil)
+}
+
+// defaultGridFrame is the default 788-scenario sweep grid as one binary
+// request frame, and the triples that grid calibrates.
+func defaultGridFrame(t *testing.T) ([]byte, []estimate.Triple) {
+	t.Helper()
+	spec := sweep.Spec{Algorithms: sweep.AllAlgorithms(machine.Ops), Sizes: estimate.DefaultCalibrationSizes}
+	expanded, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(expanded) != 788 {
+		t.Fatalf("default grid has %d scenarios, want 788", len(expanded))
+	}
+	scns := make([]Scenario, len(expanded))
+	triples := make([]estimate.Triple, len(expanded))
+	for i, sc := range expanded {
+		scns[i] = Scenario{Machine: sc.Machine, Op: string(sc.Op), Algorithm: sc.Algorithm, P: sc.P, M: sc.M}
+		triples[i] = estimate.Triple{Machine: machine.ByName(sc.Machine), Op: sc.Op, Alg: sc.Algorithm}
+	}
+	return wireFrame("", scns), triples
+}
+
+// TestWarmBatchAllocBudget counts the allocations of a warm
+// 788-scenario binary request (every answer an answer-cache hit)
+// through the full handler stack with metrics attached and a two-worker
+// pool, and fails above warmBatchAllocBudget.
+func TestWarmBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; counts are meaningless")
+	}
+	memo := estimate.NewSampleMemo()
+	reg := estimate.StandardRegistry(estimate.RegistryConfig{Memo: memo})
+	entry, err := reg.Get("refit-default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, triples := defaultGridFrame(t)
+	entry.Backend.(*estimate.Calibrated).Precalibrate(triples, 0)
+	s := &Server{
+		Registry: reg, Default: "refit-default", Sim: estimate.Sim{Memo: memo},
+		Workers: 2, Cache: NewAnswerCache(1 << 12), Obs: NewMetrics(obs.NewRegistry()),
+	}
+	h := s.Handler()
+	body := rewindBody{bytes.NewReader(frame)}
+	r := httptest.NewRequest(http.MethodPost, "/v1/estimate", nil)
+	r.Header.Set("Content-Type", wire.ContentType)
+	r.Body = body
+	w := &countingWriter{h: http.Header{}}
+	serve := func() {
+		body.Seek(0, 0)
+		clear(w.h)
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, r)
+	}
+	serve() // cold: calibrate the memo, fill the answer cache
+	serve()
+	if w.status != http.StatusOK || w.h.Get("X-Estimate-Cache") != "hit" {
+		t.Fatalf("warm request: status %d, X-Estimate-Cache %q", w.status, w.h.Get("X-Estimate-Cache"))
+	}
+	allocs := testing.AllocsPerRun(50, serve)
+	t.Logf("%.0f allocations per warm request, %.4f per scenario", allocs, allocs/788)
+	if allocs > warmBatchAllocBudget {
+		t.Errorf("%.0f allocations per warm 788-scenario request, budget %d", allocs, warmBatchAllocBudget)
+	}
+}

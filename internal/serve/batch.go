@@ -18,12 +18,13 @@ import (
 // The grouped evaluator is the middle of serveEstimate, shared by all
 // three codecs. Each scenario resolves to an item {group, p, m}, where a
 // group is one distinct (machine, op, algorithm) triple of the request.
-// Everything that depends only on the triple and the registry entry is
-// decided once per group: name binding, the answer-cache triple id, the
-// fallback coverage and variant checks, the calibrated envelope, and
-// (for piecewise entries) the expression whose segments scope the
-// bounds. Per scenario only checkPM, Range.Contains and the answer
-// itself run.
+// Everything that depends only on the triple and the registry entry —
+// name binding, the answer-cache triple id, the fallback coverage and
+// variant checks, the calibrated envelope, and (for piecewise entries)
+// the expression whose segments scope the bounds — is decided once per
+// (entry, triple) and memoized in the entry's entryState, so a warm
+// request only looks its groups up. Per scenario only checkPM,
+// Range.Contains and the answer itself run.
 
 // binding is one name-resolved (machine, op, algorithm) triple,
 // memoized server-wide in Server.triples and read-only once built.
@@ -37,8 +38,10 @@ type binding struct {
 	algs mpi.Algorithms
 }
 
-// group is one distinct triple of a request with the registry entry's
-// per-triple decisions.
+// group is one triple's decisions under one registry entry. They are
+// fixed once the triple is calibrated, so a group is built once per
+// (entry, binding id), published in the entry's memo (entryState), and
+// read-only from then on.
 type group struct {
 	*binding
 	// kind is the triple's fixed fallback verdict (uncovered, variant)
@@ -48,12 +51,21 @@ type group struct {
 	reason string
 	ranged bool
 	rng    estimate.Range
-	// closed marks a group with a closed-form scenario: the triples
-	// Precalibrate fits.
-	closed bool
 	// expr is a piecewise entry's fitted expression, whose segments
 	// scope the bound lookup; the zero value (no segments) otherwise.
 	expr fit.Expression
+}
+
+// reqGroup is one distinct triple of a request: its group plus the
+// request's own state.
+type reqGroup struct {
+	*group
+	// closed marks a group with a closed-form scenario in this request:
+	// the triples a fresh group's calibration fits.
+	closed bool
+	// fresh marks a group this request built because the entry's memo
+	// had none; calibrate finishes and publishes it.
+	fresh bool
 }
 
 // item is one scenario of a request: its group index, fallback verdict
@@ -69,8 +81,8 @@ type item struct {
 // (it models vendor-default algorithms only), falls back for every
 // scenario; otherwise the entry's calibrated envelope, when it has one,
 // decides per scenario.
-func newGroup(entry *estimate.Entry, b *binding) group {
-	g := group{binding: b}
+func newGroup(entry *estimate.Entry, b *binding) *group {
+	g := &group{binding: b}
 	if a, ok := entry.Backend.(*estimate.Analytic); ok {
 		if !a.Covers(b.mach.Name(), b.op) {
 			return g.uncovered(entry)
@@ -93,7 +105,7 @@ func newGroup(entry *estimate.Entry, b *binding) group {
 	return g
 }
 
-func (g group) uncovered(entry *estimate.Entry) group {
+func (g *group) uncovered(entry *estimate.Entry) *group {
 	g.kind = fbUncovered
 	g.reason = fmt.Sprintf("%s/%s has no %s expression; answered by the exact simulator",
 		g.mach.Name(), g.op, entry.Name)
@@ -119,13 +131,57 @@ func (g *group) reasonFor(it item) string {
 	return g.reason
 }
 
-// groupFor returns b's group in the request, creating it on first sight.
-func (scr *scratch) groupFor(entry *estimate.Entry, b *binding) int32 {
+// entryState is the server's per-registry-entry memo, keyed by the
+// entry's pointer in Server.entries: the entry's answer-cache epoch id
+// and its published groups. Reads are one atomic load and a slice
+// index; writers copy the slice under mu. The slice is indexed by
+// binding id (small process-wide interned integers), so it is bounded
+// by the triple space. An entry swapped out by a reload is never looked
+// up again.
+type entryState struct {
+	epoch  uint64
+	mu     sync.Mutex
+	groups atomic.Pointer[[]*group]
+}
+
+// group returns the published group for binding id, or nil.
+func (es *entryState) group(id uint64) *group {
+	if gs := es.groups.Load(); gs != nil && id < uint64(len(*gs)) {
+		return (*gs)[id]
+	}
+	return nil
+}
+
+// publish memoizes g unless a concurrent request already published an
+// equivalent group for the same triple.
+func (es *entryState) publish(g *group) {
+	es.mu.Lock()
+	defer es.mu.Unlock()
+	var cur []*group
+	if gs := es.groups.Load(); gs != nil {
+		cur = *gs
+	}
+	if g.id < uint64(len(cur)) && cur[g.id] != nil {
+		return
+	}
+	next := make([]*group, max(len(cur), int(g.id)+1))
+	copy(next, cur)
+	next[g.id] = g
+	es.groups.Store(&next)
+}
+
+// groupFor returns b's group in the request, taking it from the entry's
+// memo or building it fresh on first sight.
+func (scr *scratch) groupFor(es *entryState, entry *estimate.Entry, b *binding) int32 {
 	if gi, ok := scr.byID[b.id]; ok {
 		return gi
 	}
+	rg := reqGroup{group: es.group(b.id)}
+	if rg.group == nil {
+		rg.group, rg.fresh = newGroup(entry, b), true
+	}
 	gi := int32(len(scr.groups))
-	scr.groups = append(scr.groups, newGroup(entry, b))
+	scr.groups = append(scr.groups, rg)
 	scr.byID[b.id] = gi
 	return gi
 }
@@ -146,11 +202,11 @@ func (s *Server) addItem(scr *scratch, gi int32, p, m int) error {
 // resolveScenarios groups named scenarios (the JSON and NDJSON codecs)
 // through the server-wide triple cache. An error names the first
 // failing scenario.
-func (s *Server) resolveScenarios(entry *estimate.Entry, scns []Scenario, scr *scratch) error {
+func (s *Server) resolveScenarios(es *entryState, entry *estimate.Entry, scns []Scenario, scr *scratch) error {
 	for i, sc := range scns {
 		b, err := s.resolveTriple(sc.Machine, sc.Op, sc.Algorithm)
 		if err == nil {
-			err = s.addItem(scr, scr.groupFor(entry, b), sc.P, sc.M)
+			err = s.addItem(scr, scr.groupFor(es, entry, b), sc.P, sc.M)
 		}
 		if err != nil {
 			return fmt.Errorf("scenario %d (%s/%s): %w", i, sc.Machine, sc.Op, err)
@@ -163,7 +219,7 @@ func (s *Server) resolveScenarios(entry *estimate.Entry, scns []Scenario, scr *s
 // (machine, op, algorithm) index triple of the string table is looked
 // up once per request — the point of the string table — and every
 // record then pays only the (p, m) validation.
-func (s *Server) resolveWire(entry *estimate.Entry, req *wire.Request, scr *scratch) error {
+func (s *Server) resolveWire(es *entryState, entry *estimate.Entry, req *wire.Request, scr *scratch) error {
 	for i, rec := range req.Records {
 		tk := uint64(rec.Mach)<<42 | uint64(rec.Op)<<21 | uint64(rec.Alg)
 		gi, ok := scr.byWire[tk]
@@ -171,7 +227,7 @@ func (s *Server) resolveWire(entry *estimate.Entry, req *wire.Request, scr *scra
 		if !ok {
 			var b *binding
 			if b, err = s.resolveTriple(req.Table[rec.Mach], req.Table[rec.Op], req.Table[rec.Alg]); err == nil {
-				gi = scr.groupFor(entry, b)
+				gi = scr.groupFor(es, entry, b)
 				scr.byWire[tk] = gi
 			}
 		}
@@ -186,31 +242,43 @@ func (s *Server) resolveWire(entry *estimate.Entry, req *wire.Request, scr *scra
 	return nil
 }
 
-// calibrate fits the request's closed-form triples of a calibrated
-// entry before dispatch, so a cold batch calibrates its triples in
-// parallel instead of behind first-touch workers, and hoists each
-// group's piecewise expression for the bound lookup.
-func (scr *scratch) calibrate(entry *estimate.Entry, workers int) {
-	cal, ok := entry.Backend.(*estimate.Calibrated)
-	if !ok {
-		return
-	}
+// calibrate finishes the request's fresh groups and publishes them to
+// the entry's memo. A calibrated entry first fits the fresh groups'
+// closed-form triples through the pool, so a cold batch calibrates its
+// triples in parallel instead of behind first-touch workers, and hoists
+// each one's piecewise expression for the bound lookup. A fresh group
+// of a calibrated entry with no closed-form scenario stays unfitted and
+// unpublished; a later request that answers it in closed form
+// publishes it. A warm request, every group from the memo, does
+// nothing. It reports whether Precalibrate ran.
+func (scr *scratch) calibrate(es *entryState, entry *estimate.Entry, workers int) bool {
+	cal, _ := entry.Backend.(*estimate.Calibrated)
 	precal := scr.precal[:0]
 	for i := range scr.groups {
-		if g := &scr.groups[i]; g.closed {
+		if g := &scr.groups[i]; g.fresh && g.closed && cal != nil {
 			precal = append(precal, estimate.Triple{Machine: g.mach, Op: g.op, Alg: g.algs.Get(g.op)})
 		}
 	}
 	scr.precal = precal
-	cal.Precalibrate(precal, workers)
-	if !cal.Fit.Piecewise {
-		return
+	if len(precal) > 0 {
+		cal.Precalibrate(precal, workers)
 	}
 	for i := range scr.groups {
-		if g := &scr.groups[i]; g.closed {
-			g.expr = cal.Expression(g.mach, g.op, g.alg)
+		g := &scr.groups[i]
+		if !g.fresh {
+			continue
 		}
+		if cal != nil && g.kind == fbNone {
+			if !g.closed {
+				continue
+			}
+			if cal.Fit.Piecewise {
+				g.expr = cal.Expression(g.mach, g.op, g.alg)
+			}
+		}
+		es.publish(g.group)
 	}
+	return len(precal) > 0
 }
 
 // blockSize is how many consecutive scenarios one pool job answers.
@@ -240,7 +308,7 @@ func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint
 	scr.fb = fb
 	one := func(i int, wt *workerTimer) {
 		it := items[i]
-		cres[i], errs[i] = s.answerCached(ctx, entry, epoch, &scr.groups[it.g], it, wt, &answers[i])
+		cres[i], errs[i] = s.answerCached(ctx, entry, epoch, scr.groups[it.g].group, it, wt, &answers[i])
 	}
 	njobs := len(fb) + (len(items)+blockSize-1)/blockSize
 	var next atomic.Int64

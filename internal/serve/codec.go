@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"repro/internal/estimate"
@@ -110,32 +111,33 @@ func WriteNDJSONAnswers(w http.ResponseWriter, answers []Answer) {
 			return
 		}
 	}
-	w.Header().Set("Content-Type", ctNDJSON)
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	writeBody(w, http.StatusOK, ctNDJSON, buf.Bytes())
 }
 
 // writeWire encodes the binary response into the scratch buffer (grown
-// once, reused across requests) and writes it in one call.
+// once, reused across requests) straight from the answers and writes it
+// in one call.
 func writeWire(w http.ResponseWriter, scr *scratch, registry, backend, provenance string, answers []Answer) {
 	b := wire.AppendResponseHeader(scr.wbuf[:0], registry, backend, provenance, len(answers))
 	for i := range answers {
 		a := &answers[i]
-		wa := wire.Answer{Micros: a.Micros, Fallback: a.Fallback, FallbackReason: a.FallbackReason}
-		if a.ExpectedError != nil {
-			wa.HasBound = true
-			wa.Bound = wire.Bound{
-				RelMedian: a.ExpectedError.RelMedian, RelMax: a.ExpectedError.RelMax,
-				BasisM: a.ExpectedError.BasisM, Points: a.ExpectedError.Points,
-				SegmentMMin: a.ExpectedError.SegmentMMin, SegmentMMax: a.ExpectedError.SegmentMMax,
-			}
-		}
-		b = wire.AppendAnswer(b, wa)
+		// Bound and wire.Bound share their fields, so the pointer
+		// converts; a field added to one but not the other stops this
+		// compiling.
+		b = wire.AppendAnswerParts(b, a.Micros, a.Fallback, a.FallbackReason, (*wire.Bound)(a.ExpectedError))
 	}
 	scr.wbuf = b
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
+	writeBody(w, http.StatusOK, wire.ContentType, b)
+}
+
+// writeBody writes a fully buffered response with its Content-Length,
+// so net/http sends it in one piece instead of chunking it.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // bufPool recycles the request-body and response-encode buffers across
@@ -167,7 +169,7 @@ func putBuffer(b *bytes.Buffer) {
 // path. Slices are resliced and fully overwritten each use.
 type scratch struct {
 	items   []item
-	groups  []group
+	groups  []reqGroup
 	byID    map[uint64]int32  // binding id → group index
 	byWire  map[uint64]int32  // binary string-table index triple → group index
 	precal  []estimate.Triple // the request's closed-form triples

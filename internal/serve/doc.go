@@ -12,11 +12,14 @@
 // estimate.Registry (paper-table3, refit-default, refit-piecewise, or
 // anything the embedding process registered). A
 // batch is evaluated grouped by its distinct (machine, op, algorithm)
-// triples: name binding, the fallback decision and calibration run
-// once per triple, cold calibrated batches bulk-calibrate their
-// triples first (so a request never serializes behind one triple's
-// first fit), and the scenarios are answered in blocks across a
-// bounded worker pool, each simulator fallback on its own.
+// triples. Name binding, the fallback decision and calibration run
+// once per triple and registry entry, memoized in the entry's state,
+// so a warm request does per-scenario work only. Cold calibrated
+// batches bulk-calibrate their new triples first (so a request never
+// serializes behind one triple's first fit), and the scenarios are
+// answered in blocks across a bounded worker pool, each simulator
+// fallback on its own. Responses are encoded straight from the answers
+// into one buffer and written with their Content-Length.
 //
 // # Honesty guarantees
 //

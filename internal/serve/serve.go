@@ -180,10 +180,10 @@ type Server struct {
 	// deadline has already eaten the fallback simulation's budget.
 	degradedOnce sync.Once
 	degradedA    *estimate.Analytic
-	// epochs caches each entry's interned answer-cache epoch id
-	// (Entry.Epoch plus the server's sim-config digest) by entry
+	// entries holds each registry entry's memo (see entryState): its
+	// interned answer-cache epoch id and its triples' groups, by entry
 	// identity.
-	epochs sync.Map // *estimate.Entry → uint64
+	entries sync.Map // *estimate.Entry → *entryState
 	// cfgOnce/cfgDigest memoize the fallback-methodology digest folded
 	// into every epoch: fallback answers depend on s.config(), so two
 	// servers with different methodologies must never share cached
@@ -272,6 +272,19 @@ func (s *Server) registry() *estimate.Registry {
 // answers are simply never found again.
 func (s *Server) SetRegistry(r *estimate.Registry) {
 	s.reg.Store(r)
+	// Drop the memos of entries the swap retired. A request still in
+	// flight on an old entry may rebuild its memo; that one is merely
+	// never consulted again.
+	live := make(map[*estimate.Entry]bool)
+	for _, e := range r.Entries() {
+		live[e] = true
+	}
+	s.entries.Range(func(k, _ any) bool {
+		if !live[k.(*estimate.Entry)] {
+			s.entries.Delete(k)
+		}
+		return true
+	})
 }
 
 // ReloadRegistry rebuilds the registry through the configured Reloader
@@ -290,7 +303,7 @@ func (s *Server) ReloadRegistry() error {
 		s.Obs.reloaded(false)
 		return fmt.Errorf("reloaded registry lacks the default entry: %w", err)
 	}
-	s.reg.Store(r)
+	s.SetRegistry(r)
 	s.Obs.reloaded(true)
 	return nil
 }
@@ -612,7 +625,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	if err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
-	if regName == "" {
+	if regName == "" && r.URL.RawQuery != "" {
 		regName = r.URL.Query().Get("registry")
 	}
 	if regName == "" {
@@ -634,10 +647,11 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 			fmt.Errorf("%d scenarios exceed the batch cap of %d", n, s.maxBatch()))
 	}
 	scr.reset(n)
+	es := s.entryState(entry)
 	if codec == CodecBinary {
-		err = s.resolveWire(entry, &scr.wreq, scr)
+		err = s.resolveWire(es, entry, &scr.wreq, scr)
 	} else {
-		err = s.resolveScenarios(entry, scns, scr)
+		err = s.resolveScenarios(es, entry, scns, scr)
 	}
 	if err != nil {
 		return fail(http.StatusBadRequest, err)
@@ -648,22 +662,18 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	scr.calibrate(entry, workers)
+	scr.calibrate(es, entry, workers)
 	tm.mark(obs.StageCalibrate)
 
-	var epoch uint64
-	if s.Cache != nil {
-		epoch = s.entryEpoch(entry)
-	}
 	answers, cres, errs := scr.answerSlice(n), scr.cacheSlice(n), scr.errSlice(n)
-	s.dispatch(ctx, entry, epoch, scr, workers, tr, tm.base)
+	s.dispatch(ctx, entry, es.epoch, scr, workers, tr, tm.base)
 	tm.skip()
 
 	st.scenarios = n
 	var scErr error
 	for i, it := range scr.items {
 		if errs[i] != nil && scErr == nil {
-			g := &scr.groups[it.g]
+			g := scr.groups[it.g]
 			scErr = fmt.Errorf("scenario %d (%s/%s p=%d m=%d): %w",
 				i, g.mach.Name(), g.op, it.p, it.m, errs[i])
 		}
@@ -730,14 +740,25 @@ func cacheVerdict(c *AnswerCache, st reqStats) string {
 	}
 }
 
-// entryEpoch returns the answer-cache epoch id for one registry entry:
-// Entry.Epoch (backend + provenance) extended with this server's
-// fallback-methodology digest, interned to a small id (see interner)
-// and memoized per entry.
-func (s *Server) entryEpoch(e *estimate.Entry) uint64 {
-	if ep, ok := s.epochs.Load(e); ok {
-		return ep.(uint64)
+// entryState returns one registry entry's memo, creating it on first
+// use. With an answer cache attached its epoch is the cache's epoch id
+// for the entry: Entry.Epoch (backend + provenance) extended with this
+// server's fallback-methodology digest, interned to a small id (see
+// interner).
+func (s *Server) entryState(e *estimate.Entry) *entryState {
+	if es, ok := s.entries.Load(e); ok {
+		return es.(*entryState)
 	}
+	es := &entryState{}
+	if s.Cache != nil {
+		es.epoch = s.entryEpoch(e)
+	}
+	v, _ := s.entries.LoadOrStore(e, es)
+	return v.(*entryState)
+}
+
+// entryEpoch interns one entry's answer-cache epoch id.
+func (s *Server) entryEpoch(e *estimate.Entry) uint64 {
 	s.cfgOnce.Do(func() {
 		blob, err := json.Marshal(s.config())
 		if err != nil {
@@ -749,9 +770,7 @@ func (s *Server) entryEpoch(e *estimate.Entry) uint64 {
 		sim := s.simBackend()
 		s.cfgDigest = string(blob) + "\x00" + sim.Name() + "\x00" + sim.Provenance()
 	})
-	ep := epochIDs.id(e.Epoch() + "\x00" + s.cfgDigest)
-	s.epochs.Store(e, ep)
-	return ep
+	return epochIDs.id(e.Epoch() + "\x00" + s.cfgDigest)
 }
 
 // Answer-cache verdicts per scenario, accumulated into reqStats and
@@ -1039,9 +1058,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(buf.Bytes())
+	writeBody(w, status, "application/json", buf.Bytes())
 }
 
 // writeError emits the JSON error envelope every non-2xx response uses.

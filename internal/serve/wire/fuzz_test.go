@@ -48,6 +48,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{Magic})
 	f.Add([]byte{Magic, Version})
 	f.Add([]byte{Magic, Version, 0x00, 0x00, 0x00})
+	// Record fields in the wider header forms, including non-canonical
+	// ones such as 5 in two bytes, which the decoder reads outside its
+	// one-byte fast path.
+	for _, w := range []int{2, 4, 9} {
+		f.Add(wideFrame(wideRequest(), func(int, int) int { return w }))
+	}
+	f.Add(wideFrame(wideRequest(), func(i, fld int) int { return []int{1, 2, 4, 9}[(i+fld)%4] }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request

@@ -151,17 +151,23 @@ func AppendString(dst []byte, s string) []byte {
 // ReadString decodes one length-prefixed string (a copy, independent
 // of src's lifetime).
 func ReadString(src []byte) (s string, n int, err error) {
+	b, n, err := readBytes(src)
+	return string(b), n, err
+}
+
+// readBytes decodes one length-prefixed string in place.
+func readBytes(src []byte) (b []byte, n int, err error) {
 	v, n, err := ReadLen(src)
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	if v > maxString {
-		return "", 0, fmt.Errorf("wire: %d-byte string exceeds the %d cap", v, maxString)
+		return nil, 0, fmt.Errorf("wire: %d-byte string exceeds the %d cap", v, maxString)
 	}
 	if uint64(len(src)-n) < v {
-		return "", 0, ErrShort
+		return nil, 0, ErrShort
 	}
-	return string(src[n : n+int(v)]), n + int(v), nil
+	return src[n : n+int(v)], n + int(v), nil
 }
 
 // AppendFloat appends f's IEEE 754 bits, little-endian.
@@ -202,8 +208,8 @@ type Record struct {
 }
 
 // Request is a decoded request frame. Decode reuses the receiver's
-// slices, so a pooled Request decodes batch after batch without
-// allocating.
+// slices and the names it decoded before, so a pooled Request decodes
+// batch after batch without allocating.
 type Request struct {
 	// Registry names the expression set; "" defers to ?registry= and
 	// then the server default.
@@ -213,6 +219,39 @@ type Request struct {
 	Table []string
 	// Records are the scenarios, in answer order.
 	Records []Record
+
+	// names interns the registry and table strings that Decode calls
+	// after the first made, so a pooled Request decoding batch after
+	// batch over the same names stops allocating them; a Request
+	// decoded once builds no set. Bounded by maxNames short names.
+	names map[string]string
+}
+
+// Name interning bounds: at most maxNames strings of at most
+// maxNameLen bytes each stay interned per Request.
+const (
+	maxNames   = 1024
+	maxNameLen = 64
+)
+
+// readName is ReadString for the registry and table strings, through
+// the Request's intern set when intern is set.
+func (r *Request) readName(src []byte, intern bool) (string, int, error) {
+	b, n, err := readBytes(src)
+	if err != nil {
+		return "", 0, err
+	}
+	if s, ok := r.names[string(b)]; ok {
+		return s, n, nil
+	}
+	s := string(b)
+	if intern && len(b) <= maxNameLen && len(r.names) < maxNames {
+		if r.names == nil {
+			r.names = make(map[string]string)
+		}
+		r.names[s] = s
+	}
+	return s, n, nil
 }
 
 // Append encodes the request frame.
@@ -234,6 +273,10 @@ func (r *Request) Append(dst []byte) []byte {
 	return dst
 }
 
+// recordFields suffixes a record field's decode error: the table
+// indexes share one message, p and m are named.
+var recordFields = [5]string{"", "", "", " p", " m"}
+
 // Decode parses a request frame, validating record indexes against the
 // table. The receiver's Table and Records are reused.
 func (r *Request) Decode(src []byte) error {
@@ -243,7 +286,8 @@ func (r *Request) Decode(src []byte) error {
 	src = src[2:]
 	var n int
 	var err error
-	if r.Registry, n, err = ReadString(src); err != nil {
+	intern := r.Table != nil // decoded before
+	if r.Registry, n, err = r.readName(src, intern); err != nil {
 		return fmt.Errorf("wire: registry: %w", err)
 	}
 	src = src[n:]
@@ -261,7 +305,7 @@ func (r *Request) Decode(src []byte) error {
 	}
 	r.Table = r.Table[:0]
 	for i := 0; i < tableLen; i++ {
-		s, n, err := ReadString(src)
+		s, n, err := r.readName(src, intern)
 		if err != nil {
 			return fmt.Errorf("wire: table entry %d: %w", i, err)
 		}
@@ -279,28 +323,26 @@ func (r *Request) Decode(src []byte) error {
 	}
 	r.Records = r.Records[:0]
 	for i := 0; i < recordLen; i++ {
-		var rec Record
-		fields := []*uint32{&rec.Mach, &rec.Op, &rec.Alg}
-		for _, f := range fields {
-			v, n, err := readInt(src)
-			if err != nil {
-				return fmt.Errorf("wire: record %d: %w", i, err)
+		// mach, op, alg, p, m. A one-byte header, the form nearly every
+		// field of a batched request takes, is read inline; the other
+		// forms go through readInt.
+		var f [5]int
+		for j := range f {
+			v, n := 0, 1
+			if len(src) > 0 && src[0] < tag2 {
+				v = int(src[0])
+			} else if v, n, err = readInt(src); err != nil {
+				return fmt.Errorf("wire: record %d%s: %w", i, recordFields[j], err)
 			}
-			if v >= tableLen {
+			if j < 3 && v >= tableLen {
 				return fmt.Errorf("wire: record %d names table entry %d of %d", i, v, tableLen)
 			}
-			*f = uint32(v)
+			f[j] = v
 			src = src[n:]
 		}
-		if rec.P, n, err = readInt(src); err != nil {
-			return fmt.Errorf("wire: record %d p: %w", i, err)
-		}
-		src = src[n:]
-		if rec.M, n, err = readInt(src); err != nil {
-			return fmt.Errorf("wire: record %d m: %w", i, err)
-		}
-		src = src[n:]
-		r.Records = append(r.Records, rec)
+		r.Records = append(r.Records, Record{
+			Mach: uint32(f[0]), Op: uint32(f[1]), Alg: uint32(f[2]), P: f[3], M: f[4],
+		})
 	}
 	if len(src) != 0 {
 		return fmt.Errorf("wire: %d trailing bytes after the last record", len(src))
@@ -345,29 +387,39 @@ func AppendResponseHeader(dst []byte, registry, backend, provenance string, n in
 
 // AppendAnswer encodes one answer.
 func AppendAnswer(dst []byte, a Answer) []byte {
+	var bound *Bound
+	if a.HasBound {
+		bound = &a.Bound
+	}
+	return AppendAnswerParts(dst, a.Micros, a.Fallback, a.FallbackReason, bound)
+}
+
+// AppendAnswerParts encodes one answer from its fields, for callers
+// that hold answers in another form; a nil bound encodes none.
+func AppendAnswerParts(dst []byte, micros float64, fallback bool, reason string, bound *Bound) []byte {
 	var flags byte
-	if a.Fallback {
+	if fallback {
 		flags |= flagFallback
 	}
-	if a.HasBound {
+	if bound != nil {
 		flags |= flagBound
-		if a.Bound.SegmentMMin != 0 || a.Bound.SegmentMMax != 0 {
+		if bound.SegmentMMin != 0 || bound.SegmentMMax != 0 {
 			flags |= flagSegment
 		}
 	}
 	dst = append(dst, flags)
-	dst = AppendFloat(dst, a.Micros)
-	if a.Fallback {
-		dst = AppendString(dst, a.FallbackReason)
+	dst = AppendFloat(dst, micros)
+	if fallback {
+		dst = AppendString(dst, reason)
 	}
-	if a.HasBound {
-		dst = AppendFloat(dst, a.Bound.RelMedian)
-		dst = AppendFloat(dst, a.Bound.RelMax)
-		dst = AppendLen(dst, uint64(a.Bound.BasisM))
-		dst = AppendLen(dst, uint64(a.Bound.Points))
+	if bound != nil {
+		dst = AppendFloat(dst, bound.RelMedian)
+		dst = AppendFloat(dst, bound.RelMax)
+		dst = AppendLen(dst, uint64(bound.BasisM))
+		dst = AppendLen(dst, uint64(bound.Points))
 		if flags&flagSegment != 0 {
-			dst = AppendLen(dst, uint64(a.Bound.SegmentMMin))
-			dst = AppendLen(dst, uint64(a.Bound.SegmentMMax))
+			dst = AppendLen(dst, uint64(bound.SegmentMMin))
+			dst = AppendLen(dst, uint64(bound.SegmentMMax))
 		}
 	}
 	return dst

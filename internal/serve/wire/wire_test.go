@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -221,5 +222,132 @@ func TestResponseDecodeErrors(t *testing.T) {
 	}
 	if err := dec.Decode(append(append([]byte{}, enc...), 0xFF)); err == nil {
 		t.Fatal("trailing byte decoded without error")
+	}
+}
+
+// appendLenAs encodes v in a length header of the given width — 1, 2,
+// 4 or 9 bytes — whether or not that is the shortest form. Decoders
+// must accept the longer forms, which the encoder never emits.
+func appendLenAs(dst []byte, v uint64, width int) []byte {
+	switch width {
+	case 1:
+		return append(dst, byte(v))
+	case 2:
+		return append(dst, tag2|byte(v>>8), byte(v))
+	case 4:
+		return append(dst, tag4|byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	default:
+		return append(dst, tag8,
+			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
+			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	}
+}
+
+// wideFrame encodes req like Append, but writes record field f of
+// record i in the header width width(i, f).
+func wideFrame(req *Request, width func(i, f int) int) []byte {
+	dst := append([]byte{Magic, Version}, 0) // registry ""
+	dst = AppendLen(dst, uint64(len(req.Table)))
+	for _, s := range req.Table {
+		dst = AppendString(dst, s)
+	}
+	dst = AppendLen(dst, uint64(len(req.Records)))
+	for i, rec := range req.Records {
+		for f, v := range []int{int(rec.Mach), int(rec.Op), int(rec.Alg), rec.P, rec.M} {
+			dst = appendLenAs(dst, uint64(v), width(i, f))
+		}
+	}
+	return dst
+}
+
+// wideRequest has record fields small enough for the one-byte header,
+// so every wider form of them is non-canonical (5 in 2 bytes, say).
+func wideRequest() *Request {
+	return &Request{
+		Table: []string{"T3D", "broadcast", "", "SP2", "alltoall"},
+		Records: []Record{
+			{Mach: 0, Op: 1, Alg: 2, P: 5, M: 16},
+			{Mach: 3, Op: 4, Alg: 2, P: 32, M: 63},
+			{Mach: 0, Op: 1, Alg: 2, P: 8, M: 0},
+		},
+	}
+}
+
+// TestRequestDecodeWideForms: record fields written in the 2-, 4- and
+// 9-byte header forms, alone or mixed within a record, decode to the
+// same Records as their one-byte equivalents; a wide table index is
+// still checked against the table, and a wide value past the 31-bit
+// cap or cut short fails as the one-byte path's errors do.
+func TestRequestDecodeWideForms(t *testing.T) {
+	req := wideRequest()
+	var want Request
+	if err := want.Decode(req.Append(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for name, width := range map[string]func(i, f int) int{
+		"2-byte": func(int, int) int { return 2 },
+		"4-byte": func(int, int) int { return 4 },
+		"9-byte": func(int, int) int { return 9 },
+		"mixed":  func(i, f int) int { return []int{1, 2, 4, 9}[(i+f)%4] },
+	} {
+		var got Request
+		if err := got.Decode(wideFrame(req, width)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got.Records) != len(want.Records) {
+			t.Fatalf("%s: %d records, want %d", name, len(got.Records), len(want.Records))
+		}
+		for i := range want.Records {
+			if got.Records[i] != want.Records[i] {
+				t.Fatalf("%s: record %d = %+v, want %+v", name, i, got.Records[i], want.Records[i])
+			}
+		}
+	}
+
+	var dec Request
+	bad := &Request{Table: []string{"T3D"}, Records: []Record{{Mach: 5, P: 8, M: 16}}}
+	err := dec.Decode(wideFrame(bad, func(int, int) int { return 2 }))
+	if err == nil || err.Error() != "wire: record 0 names table entry 5 of 1" {
+		t.Fatalf("wide out-of-table index: %v", err)
+	}
+	huge := wideFrame(&Request{Table: []string{"T3D"}, Records: []Record{{P: 8, M: 16}}}, func(int, int) int { return 9 })
+	pAt := len(huge) - 2*9 // p's header: the tag, then eight value bytes, high first
+	huge[pAt+4] = 0x01     // p becomes 2^32 + 8
+	if err := dec.Decode(huge); err == nil || err.Error() != "wire: record 0 p: wire: value 4294967304 exceeds the 31-bit field cap" {
+		t.Fatalf("wide value past the cap: %v", err)
+	}
+	cut := wideFrame(req, func(int, int) int { return 4 })
+	if err := dec.Decode(cut[:len(cut)-2]); !errors.Is(err, ErrShort) || err.Error() != "wire: record 2 m: wire: truncated frame" {
+		t.Fatalf("cut wide field: %v", err)
+	}
+}
+
+// TestRequestDecodeReusesNames: a Request decoding the same names again
+// reuses the strings it made before — decoding a warm frame allocates
+// nothing — a frame with other names still decodes them exactly, and a
+// Request decoded only once pays for no intern set.
+func TestRequestDecodeReusesNames(t *testing.T) {
+	a, b := sampleRequest().Append(nil), wideRequest().Append(nil)
+	var dec Request
+	if err := dec.Decode(a); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { dec.Decode(a) }); allocs != 0 {
+		t.Fatalf("warm decode allocates %.0f times, want 0", allocs)
+	}
+	for _, frame := range [][]byte{b, a, b} {
+		var fresh Request
+		if err := fresh.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+		if fresh.names != nil {
+			t.Fatal("a Request decoded once built an intern set")
+		}
+		if err := dec.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+		if dec.Registry != fresh.Registry || strings.Join(dec.Table, "|") != strings.Join(fresh.Table, "|") {
+			t.Fatalf("reused decode: %q %q, want %q %q", dec.Registry, dec.Table, fresh.Registry, fresh.Table)
+		}
 	}
 }
