@@ -33,10 +33,24 @@ type Form struct {
 func (f Form) Eval(p int) float64 {
 	x := float64(p)
 	if f.Kind == Log {
-		x = math.Log2(float64(p))
+		if uint(p) < uint(len(log2Table)) {
+			x = log2Table[p]
+		} else {
+			x = math.Log2(x)
+		}
 	}
 	return f.A*x + f.B
 }
+
+// log2Table holds math.Log2(p) for every machine size below 1024, so a
+// Log form answers the study's sizes with a load instead of a Log2
+// call: the same values, filled by the same function.
+var log2Table = func() (t [1024]float64) {
+	for p := range t {
+		t[p] = math.Log2(float64(p))
+	}
+	return t
+}()
 
 // String renders the term the way Table 3 does, e.g. "24p + 90" or
 // "55logp + 30".
@@ -129,6 +143,15 @@ func (e Expression) SegmentFor(m int) (Segment, bool) {
 		return Segment{}, false
 	}
 	return e.Segments[e.segmentIdx(m)], true
+}
+
+// SegmentIndex returns the index in Segments of the segment SegmentFor
+// picks for m, and 0 for a plain affine expression.
+func (e Expression) SegmentIndex(m int) int {
+	if len(e.Segments) == 0 {
+		return 0
+	}
+	return e.segmentIdx(m)
 }
 
 // segmentIdx locates the segment covering m (the caller guarantees

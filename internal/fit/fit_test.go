@@ -234,3 +234,21 @@ func TestRSquared(t *testing.T) {
 		t.Fatalf("bad fit r² = %v", r)
 	}
 }
+
+// TestFormEvalMatchesLog2: Eval's table of log2(p) gives every Log form
+// the bits math.Log2 gives, across the table and past its end.
+func TestFormEvalMatchesLog2(t *testing.T) {
+	forms := []Form{{Log, 55.3, 30.1}, {Log, -0.013, 2.5e-3}, {Log, 1, 0}, {Linear, 24.2, 90.7}}
+	for _, f := range forms {
+		for p := 1; p <= 1100; p++ {
+			x := float64(p)
+			if f.Kind == Log {
+				x = math.Log2(float64(p))
+			}
+			want := f.A*x + f.B
+			if got := f.Eval(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v.Eval(%d) = %v, want %v", f, p, got, want)
+			}
+		}
+	}
+}

@@ -7,10 +7,11 @@ import (
 	"repro/internal/machine"
 )
 
-// AnswerCache is the service's per-scenario answer cache: repeated
-// traffic for a scenario the registry has already answered skips
-// estimation, bound lookup, and fallback simulation entirely and
-// returns the finished Answer.
+// AnswerCache is the service's per-scenario cache of sim-fallback
+// answers: repeated traffic for a fallback scenario skips the
+// simulation and returns the finished Answer. Closed-form answers never
+// enter it — evaluating a group's expression in place costs less than
+// a hit (see answerBlock).
 //
 // Keys are derived the way sweep-cache keys are: the registry entry's
 // epoch (backend name + provenance, which carries the calibration
@@ -21,13 +22,12 @@ import (
 // never found under the new epoch, and age out of the bounded space.
 //
 // The cache is sharded (16 ways) with single-flight misses: concurrent
-// requests for one cold key run the estimate once and share the
-// result, the same contract estimate.SampleMemo gives simulator
-// measurements. Capacity is bounded; eviction is a second-chance
+// requests for one cold key simulate it once and share the result, the
+// same contract estimate.SampleMemo gives simulator measurements. Capacity is bounded; eviction is a second-chance
 // (CLOCK-style) sweep per shard, so sustained hot keys survive churn.
 //
-// A nil *AnswerCache is valid and caches nothing (every request
-// reports "bypass").
+// A nil *AnswerCache is valid and caches nothing (every fallback is a
+// "bypass").
 type AnswerCache struct {
 	shards   [acShards]acShard
 	perShard int

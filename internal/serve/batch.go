@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,11 +24,12 @@ import (
 // group is one distinct (machine, op, algorithm) triple of the request.
 // Everything that depends only on the triple and the registry entry —
 // name binding, the answer-cache triple id, the fallback coverage and
-// variant checks, the calibrated envelope, and (for piecewise entries)
-// the expression whose segments scope the bounds — is decided once per
-// (entry, triple) and memoized in the entry's entryState, so a warm
-// request only looks its groups up. Per scenario only checkPM,
-// Range.Contains and the answer itself run.
+// variant checks, the calibrated envelope, the fitted expression and
+// its bound column — is decided once per (entry, triple) and memoized
+// in the entry's entryState, so a warm request only looks its groups
+// up. Per scenario only checkPM, Range.Contains, the expression's
+// Predict and an integer scan of the bound column run; only sim
+// fallbacks go through the answer cache.
 
 // binding is one name-resolved (machine, op, algorithm) triple,
 // memoized server-wide in Server.triples and read-only once built.
@@ -51,9 +56,18 @@ type group struct {
 	reason string
 	ranged bool
 	rng    estimate.Range
-	// expr is a piecewise entry's fitted expression, whose segments
-	// scope the bound lookup; the zero value (no segments) otherwise.
-	expr fit.Expression
+	// The closed-form side, set by compile before the group is published
+	// with kind fbNone. backend names the entry's backend. A calibrated
+	// or analytic entry is direct: its scenarios are answered in place
+	// from expr, the triple's fitted expression; any other backend is
+	// asked through Backend.Estimate. bounds is the expected-error
+	// column, one boundCol per expression segment (one for an affine
+	// expression), nil when the entry's error table has no row for the
+	// pair.
+	backend string
+	direct  bool
+	expr    fit.Expression
+	bounds  []boundCol
 }
 
 // reqGroup is one distinct triple of a request: its group plus the
@@ -110,6 +124,111 @@ func (g *group) uncovered(entry *estimate.Entry) *group {
 	g.reason = fmt.Sprintf("%s/%s has no %s expression; answered by the exact simulator",
 		g.mach.Name(), g.op, entry.Name)
 	return g
+}
+
+// compile readies a group whose scenarios may be answered in closed
+// form: its backend name, its expression when the entry's backend
+// exposes one, and its bound column. A calibrated entry has fitted the
+// triple by now (scratch.calibrate precalibrates first).
+func (g *group) compile(entry *estimate.Entry) {
+	g.backend = entry.Backend.Name()
+	switch b := entry.Backend.(type) {
+	case *estimate.Calibrated:
+		g.expr, g.direct = b.Expression(g.mach, g.op, g.alg), true
+	case *estimate.Analytic:
+		g.expr, g.direct = b.Predictor().Expression(g.mach.Name(), g.op)
+	}
+	g.bounds = boundColumns(entry.Bounds, g.mach.Name(), g.op, g.expr.Segments)
+}
+
+// bound returns the expected-error bound of the group's closed-form
+// answer at m, or nil: the column of the segment the expression answers
+// m from, then the last cell whose threshold is at most m.
+func (g *group) bound(m int) *Bound {
+	if g.bounds == nil {
+		return nil
+	}
+	col := g.bounds[0]
+	if len(g.bounds) > 1 {
+		col = g.bounds[g.expr.SegmentIndex(m)]
+	}
+	i := 0
+	for i+1 < len(col) && col[i+1].from <= m {
+		i++
+	}
+	return col[i].b
+}
+
+// boundCol is one expression segment's bound column: the cells
+// ErrorTable.BoundIn chooses among for that segment, sorted by length.
+type boundCol []boundCell
+
+// boundCell is one error-table cell of a column: the Bound it puts on
+// an answer, built once and shared by every answer it bounds, and its
+// threshold from, the smallest m the lookup gives it rather than its
+// shorter neighbour.
+type boundCell struct {
+	from int
+	b    *Bound
+}
+
+// boundColumns builds the bound column of (mach, op) under an
+// expression with segments segs: one column per segment, or one over
+// every length for an affine expression (no segments). A segment's
+// column holds the row's cells inside the segment, each Bound stamped
+// with the segment as an in-segment basis; with no cell inside, it holds
+// the whole row unstamped, as BoundIn falls back to Bound. The
+// thresholds come from bisecting BoundIn itself, so the column gives
+// every m the cell the per-scenario lookup would. nil when the table has
+// no cell for the pair.
+func boundColumns(t *estimate.ErrorTable, mach string, op machine.Op, segs []fit.Segment) []boundCol {
+	if t == nil {
+		return nil
+	}
+	var row []estimate.ErrorCell
+	for _, c := range t.Cells {
+		if c.Machine == mach && c.Op == op {
+			row = append(row, c)
+		}
+	}
+	if len(row) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(row, func(a, b estimate.ErrorCell) int { return cmp.Compare(a.M, b.M) })
+	scoped := len(segs) > 0
+	if !scoped {
+		segs = []fit.Segment{{MMin: 0, MMax: math.MaxInt}}
+	}
+	cols := make([]boundCol, len(segs))
+	for j, seg := range segs {
+		lo, hi := seg.MMin, seg.MMax
+		in := row[sort.Search(len(row), func(x int) bool { return row[x].M >= lo }):sort.Search(len(row), func(x int) bool { return row[x].M > hi })]
+		stamp := scoped && len(in) > 0
+		if len(in) == 0 {
+			in = row
+		}
+		col := make(boundCol, len(in))
+		for i, c := range in {
+			b := &Bound{RelMedian: c.Median, RelMax: c.Max, BasisM: c.M, Points: c.Points}
+			if stamp {
+				b.SegmentMMin, b.SegmentMMax = lo, hi
+			}
+			col[i] = boundCell{from: math.MinInt, b: b}
+			if i > 0 {
+				// The lookup gives the m in (previous length, c.M] to c
+				// from some point on; find that point. A repeated length
+				// gets only the lengths past it (the search range is
+				// empty).
+				a := in[i-1].M
+				col[i].from = a + 1 + sort.Search(c.M-a, func(k int) bool {
+					got, _ := t.BoundIn(mach, op, a+1+k, lo, hi)
+					return got.M >= c.M
+				})
+			}
+		}
+		cols[j] = col
+	}
+	return cols
 }
 
 // verdict decides one scenario: the group's fixed verdict, or whether
@@ -245,11 +364,11 @@ func (s *Server) resolveWire(es *entryState, entry *estimate.Entry, req *wire.Re
 // calibrate finishes the request's fresh groups and publishes them to
 // the entry's memo. A calibrated entry first fits the fresh groups'
 // closed-form triples through the pool, so a cold batch calibrates its
-// triples in parallel instead of behind first-touch workers, and hoists
-// each one's piecewise expression for the bound lookup. A fresh group
-// of a calibrated entry with no closed-form scenario stays unfitted and
-// unpublished; a later request that answers it in closed form
-// publishes it. A warm request, every group from the memo, does
+// triples in parallel instead of behind first-touch workers. Every
+// published group that can answer in closed form is compiled first. A
+// fresh group of a calibrated entry with no closed-form scenario stays
+// unfitted and unpublished; a later request that answers it in closed
+// form publishes it. A warm request, every group from the memo, does
 // nothing. It reports whether Precalibrate ran.
 func (scr *scratch) calibrate(es *entryState, entry *estimate.Entry, workers int) bool {
 	cal, _ := entry.Backend.(*estimate.Calibrated)
@@ -268,13 +387,11 @@ func (scr *scratch) calibrate(es *entryState, entry *estimate.Entry, workers int
 		if !g.fresh {
 			continue
 		}
-		if cal != nil && g.kind == fbNone {
-			if !g.closed {
+		if g.kind == fbNone {
+			if cal != nil && !g.closed {
 				continue
 			}
-			if cal.Fit.Piecewise {
-				g.expr = cal.Expression(g.mach, g.op, g.alg)
-			}
+			g.compile(entry)
 		}
 		es.publish(g.group)
 	}
@@ -282,49 +399,50 @@ func (scr *scratch) calibrate(es *entryState, entry *estimate.Entry, workers int
 }
 
 // blockSize is how many consecutive scenarios one pool job answers.
-// A warm closed-form scenario (an answer-cache hit) costs ~0.2–0.4 µs
-// in the traced grid-wire decomposition, so a block is ~15–25 µs of
-// work: an order of magnitude above a job claim plus a goroutine
-// start, while a 788-scenario batch still splits into 13 blocks that
-// balance across the pool. A request of at most one block and no
-// fallbacks therefore runs inline in the handler goroutine.
+// A warm closed-form scenario costs ~40 ns in place (Predict plus the
+// bound scan), so a block is a few µs of work: still above a job claim
+// plus a goroutine start, while a 788-scenario batch splits into 13
+// blocks that balance across the pool; paired grid-wire runs on a
+// 2-vCPU host read the same at 256 (4 blocks). A request of at most one
+// block and no backend calls runs inline in the handler goroutine.
 const blockSize = 64
 
 // dispatch answers every item of the request into scr.answers,
 // scr.cres and scr.errs (sized and indexed like scr.items). Jobs are
 // claimed from one atomic counter by at most workers goroutines, the
-// handler's own included: each fallback scenario is a job of its own,
-// claimed first, so one request's simulations run in parallel rather
-// than queued behind each other in a block; then the request's
-// scenarios in blocks of blockSize, skipping the fallbacks.
+// handler's own included. Each scenario that calls a backend — a sim
+// fallback, through the answer cache, or a closed form of an entry
+// with no expression, uncached — is a job of its own, claimed first,
+// so one request's simulations run in parallel rather than queued
+// behind each other in a block. Then the request's direct closed forms
+// are answered in blocks of blockSize (see answerBlock).
 func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint64, scr *scratch, workers int, tr *obs.Trace, base time.Time) {
-	items, answers, cres, errs := scr.items, scr.answers, scr.cres, scr.errs
-	fb := scr.fb[:0]
+	items, groups, answers, cres, errs := scr.items, scr.groups, scr.answers, scr.cres, scr.errs
+	calls := scr.calls[:0]
 	for i := range items {
-		if items[i].kind != fbNone {
-			fb = append(fb, int32(i))
+		if items[i].kind != fbNone || !groups[items[i].g].direct {
+			calls = append(calls, int32(i))
 		}
 	}
-	scr.fb = fb
-	one := func(i int, wt *workerTimer) {
-		it := items[i]
-		cres[i], errs[i] = s.answerCached(ctx, entry, epoch, scr.groups[it.g].group, it, wt, &answers[i])
-	}
-	njobs := len(fb) + (len(items)+blockSize-1)/blockSize
+	scr.calls = calls
+	njobs := len(calls) + (len(items)+blockSize-1)/blockSize
 	var next atomic.Int64
 	work := func() {
 		wt := workerTimer{tr: tr, base: base}
 		for j := int(next.Add(1) - 1); j < njobs; j = int(next.Add(1) - 1) {
-			if j < len(fb) {
-				one(int(fb[j]), &wt)
+			if j < len(calls) {
+				i := calls[j]
+				it := items[i]
+				if g := groups[it.g].group; it.kind != fbNone {
+					cres[i], errs[i] = s.answerCached(ctx, entry, epoch, g, it, &wt, &answers[i])
+				} else {
+					answers[i], errs[i] = s.answerSafe(ctx, entry, g, it, &wt)
+				}
 				continue
 			}
-			lo := (j - len(fb)) * blockSize
-			for i := lo; i < min(lo+blockSize, len(items)); i++ {
-				if items[i].kind == fbNone {
-					one(i, &wt)
-				}
-			}
+			lo := (j - len(calls)) * blockSize
+			hi := min(lo+blockSize, len(items))
+			answerBlock(groups, items[lo:hi], answers[lo:hi], &wt)
 		}
 		wt.flush()
 	}
@@ -338,4 +456,39 @@ func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint
 	}
 	work()
 	wg.Wait()
+}
+
+// answerBlock answers a block's direct closed forms in place, skipping
+// the scenarios dispatch runs as calls: first every answer from its
+// group's expression, charged to the estimate stage, then every bound
+// from its group's column, charged to the bounds stage. Nothing is
+// allocated: the answers share their groups' Bounds.
+func answerBlock(groups []reqGroup, items []item, answers []Answer, wt *workerTimer) {
+	e0 := wt.start()
+	for i := range items {
+		it := &items[i]
+		if it.kind != fbNone {
+			continue
+		}
+		if g := groups[it.g].group; g.direct {
+			// Every field, since the scratch answers are reused; field by
+			// field, since a composite literal is built aside and
+			// block-copied in, which cost more than the Predict.
+			a := &answers[i]
+			a.Machine, a.Op, a.Algorithm, a.P, a.M = g.mach.Name(), string(g.op), g.alg, it.p, it.m
+			a.Micros, a.Backend = g.expr.Predict(it.m, it.p), g.backend
+			a.Fallback, a.FallbackReason = false, ""
+		}
+	}
+	e1 := wt.estimateDone(e0)
+	for i := range items {
+		it := &items[i]
+		if it.kind != fbNone {
+			continue
+		}
+		if g := groups[it.g].group; g.direct {
+			answers[i].ExpectedError = g.bound(it.m)
+		}
+	}
+	wt.boundsDone(e1)
 }

@@ -15,9 +15,11 @@ import (
 	"time"
 
 	"repro/internal/estimate"
+	"repro/internal/fit"
 	"repro/internal/machine"
 	"repro/internal/measure"
 	"repro/internal/mpi"
+	"repro/internal/paper"
 	"repro/internal/serve/wire"
 )
 
@@ -263,17 +265,21 @@ func sameAnswer(got, want Answer) bool {
 // alias beside its named variant, barriers at any m, and duplicate
 // scenarios — in each codec to its own answer-cached server, twice
 // (cold, then warm), and requires every answer to equal the
-// per-scenario reference exactly: same float64 µs, same bound. Some
-// batches carry an unknown name at a random index and must fail with
-// the 400 message that names that scenario.
+// per-scenario reference exactly: same float64 µs, same bound. The warm
+// pass serves every fallback from the cache ("hit", no simulation; a
+// batch without fallbacks is a "bypass"). Some batches carry an unknown
+// name at a random index and must fail with the 400 message that names
+// that scenario.
 func TestBatchEquivalenceAcrossCodecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	memo := estimate.NewSampleMemo()
 	reg := equivalenceRegistry(t, rng, memo)
 	servers := make([]*Server, numCodecs)
+	sims := make([]*countingBackend, numCodecs)
 	for c := range servers {
+		sims[c] = &countingBackend{inner: estimate.Sim{Memo: memo}}
 		servers[c] = &Server{
-			Registry: reg, Default: "refit-default", Sim: estimate.Sim{Memo: memo}, Config: tinyCfg,
+			Registry: reg, Default: "refit-default", Sim: sims[c], Config: tinyCfg,
 			Workers: 2, Cache: NewAnswerCache(1 << 12),
 		}
 	}
@@ -298,8 +304,12 @@ func TestBatchEquivalenceAcrossCodecs(t *testing.T) {
 			}
 		}
 		want := make([]Answer, len(scns))
+		warmVerdict := "bypass"
 		for i, sc := range scns {
 			want[i] = referenceAnswer(t, servers[0], entry, sc)
+			if want[i].Fallback {
+				warmVerdict = "hit"
+			}
 			for _, kind := range []string{"outside the calibrated range", "has no", "vendor-default"} {
 				if strings.Contains(want[i].FallbackReason, kind) {
 					seen[kind]++
@@ -330,6 +340,7 @@ func TestBatchEquivalenceAcrossCodecs(t *testing.T) {
 		}
 		for c := Codec(0); c < numCodecs; c++ {
 			for _, pass := range []string{"cold", "warm"} {
+				calls := sims[c].calls.Load()
 				code, verdict, got := postCodec(t, servers[c], c, registry, scns, want)
 				if wantErr != "" {
 					if code != http.StatusBadRequest || verdict != wantErr {
@@ -340,8 +351,11 @@ func TestBatchEquivalenceAcrossCodecs(t *testing.T) {
 				if code != http.StatusOK {
 					t.Fatalf("batch %d %s %s: status %d: %s", b, codecNames[c], pass, code, verdict)
 				}
-				if pass == "warm" && verdict != "hit" {
-					t.Fatalf("batch %d %s warm: X-Estimate-Cache %q, want hit", b, codecNames[c], verdict)
+				if pass == "warm" && verdict != warmVerdict {
+					t.Fatalf("batch %d %s warm: X-Estimate-Cache %q, want %s", b, codecNames[c], verdict, warmVerdict)
+				}
+				if ran := sims[c].calls.Load() - calls; pass == "warm" && ran != 0 {
+					t.Fatalf("batch %d %s warm: simulator ran %d times, want 0 (every fallback a hit)", b, codecNames[c], ran)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("batch %d %s %s: %d answers, want %d", b, codecNames[c], pass, len(got), len(want))
@@ -417,6 +431,61 @@ func TestFallbacksRunInParallel(t *testing.T) {
 	for i, a := range resp.Answers {
 		if a.Fallback != (i == 5 || i == 9) {
 			t.Fatalf("answer %d fallback %v", i, a.Fallback)
+		}
+	}
+}
+
+// TestBoundColumnMatchesLookup: a group's bound column gives every
+// m in [0, 70 000] the Bound the per-scenario lookup gives —
+// ErrorTable.Bound for an affine expression; for a piecewise one,
+// BoundIn over the segment SegmentFor picks, stamped with the segment
+// only for an in-segment basis — over the paper's message lengths and
+// over a sparse, unsorted table with a repeated length where one
+// segment holds no cell.
+func TestBoundColumnMatchesLookup(t *testing.T) {
+	const mach, op = "T3D", machine.OpBroadcast
+	full := &estimate.ErrorTable{}
+	for i, m := range paper.MessageLengths() {
+		full.Cells = append(full.Cells, estimate.ErrorCell{Machine: mach, Op: op, M: m,
+			Median: float64(i) / 100, Max: float64(i) / 10, Points: 1 + i})
+	}
+	full.Cells = append(full.Cells, estimate.ErrorCell{Machine: mach, Op: machine.OpGather, M: 300, Median: 1, Max: 2, Points: 3})
+	full.Sort()
+	sparse := &estimate.ErrorTable{Cells: []estimate.ErrorCell{
+		{Machine: mach, Op: op, M: 65536, Median: 0.5, Max: 0.6, Points: 2},
+		{Machine: mach, Op: op, M: 16, Median: 0.1, Max: 0.2, Points: 1},
+		{Machine: "SP2", Op: op, M: 1024, Median: 0.9, Max: 0.9, Points: 9},
+		{Machine: mach, Op: op, M: 4, Median: 0.3, Max: 0.4, Points: 5},
+		{Machine: mach, Op: op, M: 16, Median: 0.7, Max: 0.8, Points: 6},
+	}}
+	affine := fit.Expression{}
+	piecewise := fit.Expression{Segments: []fit.Segment{{MMin: 4, MMax: 256}, {MMin: 256, MMax: 4096}, {MMin: 4096, MMax: 65536}}}
+	for tname, table := range map[string]*estimate.ErrorTable{"paper lengths": full, "sparse": sparse} {
+		for ename, expr := range map[string]fit.Expression{"affine": affine, "piecewise": piecewise} {
+			g := &group{expr: expr, bounds: boundColumns(table, mach, op, expr.Segments)}
+			for m := 0; m <= 70000; m++ {
+				var want *Bound
+				cell, ok := table.Bound(mach, op, m)
+				seg, scoped := expr.SegmentFor(m)
+				if scoped {
+					cell, ok = table.BoundIn(mach, op, m, seg.MMin, seg.MMax)
+				}
+				if ok {
+					want = &Bound{RelMedian: cell.Median, RelMax: cell.Max, BasisM: cell.M, Points: cell.Points}
+					if scoped && cell.M >= seg.MMin && cell.M <= seg.MMax {
+						want.SegmentMMin, want.SegmentMMax = seg.MMin, seg.MMax
+					}
+				}
+				got := g.bound(m)
+				if (got == nil) != (want == nil) || got != nil && *got != *want {
+					t.Fatalf("%s table, %s expression, m=%d: bound %+v, want %+v", tname, ename, m, got, want)
+				}
+			}
+		}
+	}
+	for _, table := range []*estimate.ErrorTable{nil, full} {
+		if cols := boundColumns(table, "Paragon", op, nil); cols != nil {
+			t.Fatalf("no row for the pair: columns %+v, want none", cols)
 		}
 	}
 }

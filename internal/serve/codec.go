@@ -173,7 +173,7 @@ type scratch struct {
 	byID    map[uint64]int32  // binding id → group index
 	byWire  map[uint64]int32  // binary string-table index triple → group index
 	precal  []estimate.Triple // the request's closed-form triples
-	fb      []int32           // indexes of the fallback items
+	calls   []int32           // indexes of the items answered by a backend call
 	answers []Answer
 	cres    []uint8
 	errs    []error

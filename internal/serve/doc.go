@@ -12,13 +12,16 @@
 // estimate.Registry (paper-table3, refit-default, refit-piecewise, or
 // anything the embedding process registered). A
 // batch is evaluated grouped by its distinct (machine, op, algorithm)
-// triples. Name binding, the fallback decision and calibration run
-// once per triple and registry entry, memoized in the entry's state,
-// so a warm request does per-scenario work only. Cold calibrated
-// batches bulk-calibrate their new triples first (so a request never
-// serializes behind one triple's first fit), and the scenarios are
-// answered in blocks across a bounded worker pool, each simulator
-// fallback on its own. Responses are encoded straight from the answers
+// triples. Name binding, the fallback decision, calibration, the
+// fitted expression and its expected-error bound column are fixed once
+// per triple and registry entry, memoized in the entry's state, so a
+// warm request does per-scenario work only: each closed form is
+// evaluated in place from its group's expression and bound column.
+// Cold calibrated batches bulk-calibrate their new triples first (so a
+// request never serializes behind one triple's first fit), and the
+// scenarios are answered in blocks across a bounded worker pool, each
+// simulator fallback on its own. Only fallbacks go through the answer
+// cache (AnswerCache). Responses are encoded straight from the answers
 // into one buffer and written with their Content-Length.
 //
 // # Honesty guarantees

@@ -436,17 +436,17 @@ func mergeAnswers(groups []*group, n int) []serve.Answer {
 }
 
 // mergeCacheVerdict folds the workers' X-Estimate-Cache headers into
-// one: every worker hit → "hit", any miss → "miss", otherwise (some
-// worker serves uncached) "bypass".
+// the verdict one worker would give the whole request: any miss →
+// "miss", else any hit → "hit" (every fallback that touched a cache
+// hit), else "bypass" (no scenario touched one).
 func mergeCacheVerdict(groups []*group) string {
-	verdict := "hit"
+	verdict := "bypass"
 	for _, g := range groups {
 		switch g.cache {
 		case "miss":
 			return "miss"
 		case "hit":
-		default:
-			verdict = "bypass"
+			verdict = "hit"
 		}
 	}
 	return verdict

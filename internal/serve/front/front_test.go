@@ -685,3 +685,26 @@ func TestRegistryProxy(t *testing.T) {
 		t.Fatalf("registry listing drifted:\nfront:  %s\ndirect: %s", fronted, direct)
 	}
 }
+
+// TestMergeCacheVerdict: the merged X-Estimate-Cache is what one worker
+// answering the whole request would say — any miss is a miss, else any
+// hit a hit, else (no fallback touched a cache) a bypass.
+func TestMergeCacheVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		workers []string
+		want    string
+	}{
+		{[]string{"bypass", "bypass"}, "bypass"},
+		{[]string{"hit", "bypass"}, "hit"},
+		{[]string{"bypass", "hit", "hit"}, "hit"},
+		{[]string{"hit", "miss", "bypass"}, "miss"},
+	} {
+		var groups []*group
+		for _, v := range tc.workers {
+			groups = append(groups, &group{cache: v})
+		}
+		if got := mergeCacheVerdict(groups); got != tc.want {
+			t.Errorf("workers %v: merged %q, want %q", tc.workers, got, tc.want)
+		}
+	}
+}

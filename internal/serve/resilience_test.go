@@ -399,18 +399,26 @@ func reloadFixture(t *testing.T) (*Server, *atomic.Int64) {
 }
 
 // TestReloadSwapsAndInvalidates: POST /v1/reload swaps the registry
-// atomically; the answer cache keys on entry epochs, so warm answers
-// from the old registry are never served by the new one.
+// atomically; the answer cache keys on entry epochs, so warm fallback
+// answers from the old registry are never served by the new one.
 func TestReloadSwapsAndInvalidates(t *testing.T) {
 	s, _ := reloadFixture(t)
-	const body = `{"machine":"T3D","op":"broadcast","p":8,"m":16}`
+	sim := &countingBackend{inner: s.Sim}
+	s.Sim = sim
+	// p=2 lies below the calibrated sizes of every generation: a sim
+	// fallback, the only kind of answer the cache holds.
+	const body = `{"machine":"T3D","op":"broadcast","p":2,"m":16}`
 	warm := func(stage string) {
 		t.Helper()
+		calls := sim.calls.Load()
 		if got := post(t, s, body, "").Header().Get("X-Estimate-Cache"); got != "miss" {
 			t.Fatalf("%s cold request: cache %q, want miss", stage, got)
 		}
 		if got := post(t, s, body, "").Header().Get("X-Estimate-Cache"); got != "hit" {
 			t.Fatalf("%s warm request: cache %q, want hit", stage, got)
+		}
+		if ran := sim.calls.Load() - calls; ran != 1 {
+			t.Fatalf("%s: simulator ran %d times for a cold and a warm request, want 1", stage, ran)
 		}
 	}
 	warm("pre-reload")

@@ -139,12 +139,13 @@ type Server struct {
 	// MaxMessage caps a scenario's message length, bounding the cost a
 	// single fallback simulation can impose; ≤ 0 means 16 MiB.
 	MaxMessage int
-	// Cache, when non-nil, memoizes finished answers per scenario —
-	// keyed by the entry's epoch (backend + provenance, so
+	// Cache, when non-nil, memoizes finished sim-fallback answers per
+	// scenario — keyed by the entry's epoch (backend + provenance, so
 	// recalibration self-invalidates), the fallback-sim methodology,
-	// the machine fingerprint, and the resolved scenario. Repeated
-	// traffic then skips estimation and bound lookup entirely. Nil
-	// disables caching (every request reports "bypass").
+	// the machine fingerprint, and the resolved scenario — so repeated
+	// fallback traffic simulates once. Closed-form answers never touch
+	// it: computing one in place is cheaper than a hit. Nil disables
+	// caching (fallbacks report "bypass").
 	Cache *AnswerCache
 	// DisableWire turns off the binary and NDJSON codecs: only the
 	// JSON content types are accepted, everything else is a 415. The
@@ -680,20 +681,20 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 		if it.kind != fbNone {
 			st.fallbacks++
 			st.kinds[it.kind]++
+			switch cres[i] {
+			case cacheHit:
+				st.cacheHits++
+			case cacheMiss:
+				st.cacheMisses++
+			default:
+				st.cacheBypass++
+			}
 		}
 		if answers[i].FallbackReason == reasonDegraded {
 			st.degraded++
 		}
 		if answers[i].ExpectedError != nil {
 			st.bounds++
-		}
-		switch cres[i] {
-		case cacheHit:
-			st.cacheHits++
-		case cacheMiss:
-			st.cacheMisses++
-		default:
-			st.cacheBypass++
 		}
 	}
 	if scErr != nil {
@@ -707,7 +708,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	}
 
 	setProvenance(w, entry)
-	w.Header().Set("X-Estimate-Cache", cacheVerdict(s.Cache, st))
+	w.Header().Set("X-Estimate-Cache", cacheVerdict(st))
 	switch codec {
 	case CodecNDJSON:
 		WriteNDJSONAnswers(w, answers)
@@ -727,16 +728,18 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 }
 
 // cacheVerdict summarizes a served request's answer-cache interaction
-// for the X-Estimate-Cache header: "bypass" when no cache is attached,
-// "hit" when every scenario was served from it, "miss" otherwise.
-func cacheVerdict(c *AnswerCache, st reqStats) string {
+// for the X-Estimate-Cache header. Only sim fallbacks use the cache:
+// "miss" when any fallback was a miss, "hit" when every fallback was a
+// hit, "bypass" when no scenario touched the cache (no fallback, or no
+// cache attached).
+func cacheVerdict(st reqStats) string {
 	switch {
-	case c == nil:
-		return "bypass"
-	case st.cacheMisses == 0:
+	case st.cacheMisses > 0:
+		return "miss"
+	case st.cacheHits > 0:
 		return "hit"
 	default:
-		return "miss"
+		return "bypass"
 	}
 }
 
@@ -773,18 +776,19 @@ func (s *Server) entryEpoch(e *estimate.Entry) uint64 {
 	return epochIDs.id(e.Epoch() + "\x00" + s.cfgDigest)
 }
 
-// Answer-cache verdicts per scenario, accumulated into reqStats and
-// the serve_answer_cache_total{result} series.
+// Answer-cache verdicts per fallback scenario, accumulated into
+// reqStats and the serve_answer_cache_total{result} series.
 const (
 	cacheBypass uint8 = iota
 	cacheHit
 	cacheMiss
 )
 
-// answerCached answers one scenario into dst through the answer cache:
-// a finished answer is copied as-is, a cold key runs s.answerSafe
-// once (single flight — concurrent requests for the same cold key wait
-// and share), and with no cache attached every scenario computes.
+// answerCached answers one fallback scenario into dst through the
+// answer cache: a finished answer is copied as-is, a cold key runs
+// s.answerSafe once (single flight — concurrent requests for the same
+// cold key wait and share), and with no cache attached every fallback
+// computes.
 // Errored and degraded computations are forgotten after the flight —
 // waiters sharing it see the same outcome, but the next request retries
 // (or gets the real answer once the pressure is off) instead of being
@@ -934,13 +938,14 @@ func (s *Server) answerSafe(ctx context.Context, entry *estimate.Entry, g *group
 	return s.answer(ctx, entry, g, it, wt)
 }
 
-// answer serves one scenario from the entry — or from the exact
+// answer serves one scenario through a backend call: the exact
 // simulator, flagged, when the scenario's fallback verdict says the
-// entry cannot answer it honestly. A ctx that expires mid-estimate
-// degrades to the paper's closed-form expressions when they cover the
-// scenario (an instant answer flagged "degraded_deadline", no bounds)
-// and errors otherwise. Estimate and bound-attach time is charged to
-// the worker's timer.
+// entry cannot answer it honestly, or else the entry's backend (one
+// with no expression to answer in place; see group.compile). A ctx
+// that expires mid-estimate degrades to the paper's closed-form
+// expressions when they cover the scenario (an instant answer flagged
+// "degraded_deadline", no bounds) and errors otherwise. Estimate and
+// bound time is charged to the worker's timer.
 func (s *Server) answer(ctx context.Context, entry *estimate.Entry, g *group, it item, wt *workerTimer) (Answer, error) {
 	echo := Scenario{Machine: g.mach.Name(), Op: string(g.op), Algorithm: g.alg, P: it.p, M: it.m}
 	fallback := it.kind != fbNone
@@ -969,8 +974,7 @@ func (s *Server) answer(ctx context.Context, entry *estimate.Entry, g *group, it
 			Fallback: true, FallbackReason: g.reasonFor(it),
 		}, nil
 	}
-	a := Answer{Scenario: echo, Micros: est.Sample.Micros, Backend: est.Backend}
-	attachBound(entry, g, it.m, &a)
+	a := Answer{Scenario: echo, Micros: est.Sample.Micros, Backend: est.Backend, ExpectedError: g.bound(it.m)}
 	wt.boundsDone(e1)
 	return a, nil
 }
@@ -995,36 +999,6 @@ func (s *Server) degradedAnswer(echo Scenario, g *group) (Answer, bool) {
 		Scenario: echo, Micros: est.Sample.Micros, Backend: est.Backend,
 		Fallback: true, FallbackReason: reasonDegraded,
 	}, true
-}
-
-// attachBound annotates a closed-form answer with its validated
-// expected-error bound, when the entry carries one.
-func attachBound(entry *estimate.Entry, g *group, m int, a *Answer) {
-	// Piecewise fits answer from one protocol segment; the expected
-	// error must come from validated lengths of that same segment, and
-	// the answer says which segment served it. Affine groups carry no
-	// segments and take the unconstrained lookup.
-	if seg, isSeg := g.expr.SegmentFor(m); isSeg {
-		if cell, ok := entry.Bounds.BoundIn(g.mach.Name(), g.op, m, seg.MMin, seg.MMax); ok {
-			a.ExpectedError = &Bound{
-				RelMedian: cell.Median, RelMax: cell.Max,
-				BasisM: cell.M, Points: cell.Points,
-			}
-			// BoundIn falls back to a cross-regime neighbor when the
-			// validation grid has no cell inside the segment; only an
-			// in-segment basis may claim the segment-scoped contract.
-			if cell.M >= seg.MMin && cell.M <= seg.MMax {
-				a.ExpectedError.SegmentMMin, a.ExpectedError.SegmentMMax = seg.MMin, seg.MMax
-			}
-		}
-		return
-	}
-	if cell, ok := entry.Bounds.Bound(g.mach.Name(), g.op, m); ok {
-		a.ExpectedError = &Bound{
-			RelMedian: cell.Median, RelMax: cell.Max,
-			BasisM: cell.M, Points: cell.Points,
-		}
-	}
 }
 
 // handleRegistry answers GET /v1/registry.

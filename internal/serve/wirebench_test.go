@@ -18,8 +18,11 @@ import (
 // real TCP socket: an httptest server with the warm calibrated
 // registry, hit by a kept-alive client. Variants cover the binary codec
 // single and batched (the default 788-scenario grid), each cold
-// (answer cache off) and hot (warm answer cache), plus the same-run
-// JSON batch as the comparator the wire mode is judged against.
+// (answer cache off) and hot (answer cache attached), plus the same-run
+// JSON batch as the comparator the wire mode is judged against. The
+// answer cache holds sim fallbacks only and the grid has none, so hot
+// and cold now differ only on fallbacks: both compute every closed form
+// in place.
 // scripts/bench.sh prints and gates on the batch788-hot scenarios/s
 // headline. Tracked by scripts/bench.sh.
 func BenchmarkServeWire(b *testing.B) {

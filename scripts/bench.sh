@@ -38,14 +38,16 @@ done
 out+=$serve_out
 
 # Fast wire mode through a real socket: the binary codec single and
-# batched, cold and hot answer cache, plus the same-run JSON batch as
-# the comparator.
+# batched, without ("cold") and with ("hot") the answer cache, plus the
+# same-run JSON batch as the comparator. The cache holds sim fallbacks
+# only and the grid has none, so the two read alike.
 wire_out=$(go test -run '^$' -bench 'BenchmarkServeWire' ./internal/serve)
 out+=$wire_out
 out+=$'\n'
 
-# Gate: the binary batched hot-cache path must either clear 1M
-# scenarios/s through the socket or beat the same-run JSON batch 5×.
+# Gate: the binary batched path with the answer cache attached
+# (batch788-hot) must either clear 1M scenarios/s through the socket or
+# beat the same-run JSON batch 5×.
 # The headline this gates on is printed either way.
 BENCH_WIRE="$wire_out" python3 - <<'EOF'
 import os, re, sys
