@@ -15,14 +15,12 @@ import (
 
 // warmBatchAllocBudget is the allocation budget of one warm
 // 788-scenario binary request through Server.Handler under this test's
-// setup: 41, what the handler allocated before each triple's group was
-// memoized per registry entry (0.052 per scenario). Since then it
-// allocates 20: Request.Decode reuses the table names it decoded
-// before, and the handler parses the query string only when there is
-// one, which more than pays for the Content-Length header. Counts do
-// not drift with host speed, so a rise is a regression on the request
-// path.
-const warmBatchAllocBudget = 41
+// setup: 15 (0.019 per scenario), what it allocates since the closed
+// forms are answered inline in the handler goroutine into pooled
+// answer columns — no block goroutines, no WaitGroup on the heap.
+// Counts do not drift with host speed, so a rise is a regression on
+// the request path.
+const warmBatchAllocBudget = 15
 
 // rewindBody is a request body the test rewinds between runs, so one
 // *http.Request serves every run and its construction stays out of the
@@ -46,22 +44,30 @@ func (w *countingWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// wireFrame encodes scenarios as one binary request frame, each
-// distinct name once in the string table.
-func wireFrame(registry string, scns []Scenario) []byte {
+// wireFrame encodes scenarios as one binary request frame. The string
+// table holds each distinct name copies times, and record i takes its
+// names from copy i%copies: with one copy every name is listed once;
+// with more the same triple travels under several index triples.
+func wireFrame(registry string, scns []Scenario, copies int) []byte {
 	req := wire.Request{Registry: registry}
-	index := map[string]uint32{}
-	intern := func(s string) uint32 {
-		if i, ok := index[s]; ok {
+	type named struct {
+		name string
+		copy int
+	}
+	index := map[named]uint32{}
+	intern := func(s string, c int) uint32 {
+		k := named{s, c}
+		if i, ok := index[k]; ok {
 			return i
 		}
-		index[s] = uint32(len(req.Table))
+		index[k] = uint32(len(req.Table))
 		req.Table = append(req.Table, s)
-		return index[s]
+		return index[k]
 	}
-	for _, sc := range scns {
+	for i, sc := range scns {
+		c := i % copies
 		req.Records = append(req.Records, wire.Record{
-			Mach: intern(sc.Machine), Op: intern(sc.Op), Alg: intern(sc.Algorithm), P: sc.P, M: sc.M,
+			Mach: intern(sc.Machine, c), Op: intern(sc.Op, c), Alg: intern(sc.Algorithm, c), P: sc.P, M: sc.M,
 		})
 	}
 	return req.Append(nil)
@@ -85,7 +91,7 @@ func defaultGridFrame(t *testing.T) ([]byte, []estimate.Triple) {
 		scns[i] = Scenario{Machine: sc.Machine, Op: string(sc.Op), Algorithm: sc.Algorithm, P: sc.P, M: sc.M}
 		triples[i] = estimate.Triple{Machine: machine.ByName(sc.Machine), Op: sc.Op, Alg: sc.Algorithm}
 	}
-	return wireFrame("", scns), triples
+	return wireFrame("", scns, 1), triples
 }
 
 // TestWarmBatchAllocBudget counts the allocations of a warm

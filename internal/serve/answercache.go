@@ -11,7 +11,7 @@ import (
 // answers: repeated traffic for a fallback scenario skips the
 // simulation and returns the finished Answer. Closed-form answers never
 // enter it — evaluating a group's expression in place costs less than
-// a hit (see answerBlock).
+// a hit (see answerClosed).
 //
 // Keys are derived the way sweep-cache keys are: the registry entry's
 // epoch (backend name + provenance, which carries the calibration

@@ -27,9 +27,11 @@ import (
 // variant checks, the calibrated envelope, the fitted expression and
 // its bound column — is decided once per (entry, triple) and memoized
 // in the entry's entryState, so a warm request only looks its groups
-// up. Per scenario only checkPM, Range.Contains, the expression's
-// Predict and an integer scan of the bound column run; only sim
-// fallbacks go through the answer cache.
+// up. Per scenario only a compare chain against the group's copy of
+// checkPM's constants, Range.Contains, the expression's Predict and an
+// integer scan of the bound column run, the answer going into two
+// columns (µs and bound); only sim fallbacks go through the answer
+// cache.
 
 // binding is one name-resolved (machine, op, algorithm) triple,
 // memoized server-wide in Server.triples and read-only once built.
@@ -74,6 +76,11 @@ type group struct {
 // request's own state.
 type reqGroup struct {
 	*group
+	// checkPM's per-triple constants, so a valid scenario pays one
+	// compare chain: the machine's node count, the service's m cap, and
+	// whether the op is a barrier (m normalized to 0).
+	maxP, maxM int
+	barrier    bool
 	// closed marks a group with a closed-form scenario in this request:
 	// the triples a fresh group's calibration fits.
 	closed bool
@@ -291,11 +298,14 @@ func (es *entryState) publish(g *group) {
 
 // groupFor returns b's group in the request, taking it from the entry's
 // memo or building it fresh on first sight.
-func (scr *scratch) groupFor(es *entryState, entry *estimate.Entry, b *binding) int32 {
+func (s *Server) groupFor(scr *scratch, es *entryState, entry *estimate.Entry, b *binding) int32 {
 	if gi, ok := scr.byID[b.id]; ok {
 		return gi
 	}
-	rg := reqGroup{group: es.group(b.id)}
+	rg := reqGroup{
+		group: es.group(b.id),
+		maxP:  b.mach.MaxNodes(), maxM: s.maxMessage(), barrier: b.op == machine.OpBarrier,
+	}
 	if rg.group == nil {
 		rg.group, rg.fresh = newGroup(entry, b), true
 	}
@@ -306,11 +316,17 @@ func (scr *scratch) groupFor(es *entryState, entry *estimate.Entry, b *binding) 
 }
 
 // addItem validates one scenario's (p, m) and appends it to group gi.
+// Only an invalid scenario goes through checkPM, which words its error.
 func (s *Server) addItem(scr *scratch, gi int32, p, m int) error {
 	g := &scr.groups[gi]
-	m, err := s.checkPM(g.binding, p, m)
-	if err != nil {
-		return err
+	if g.barrier {
+		m = 0
+	}
+	if p < 2 || p > g.maxP || m < 0 || m > g.maxM {
+		var err error
+		if m, err = s.checkPM(g.binding, p, m); err != nil {
+			return err
+		}
 	}
 	kind := g.verdict(p, m)
 	g.closed = g.closed || kind == fbNone
@@ -325,7 +341,7 @@ func (s *Server) resolveScenarios(es *entryState, entry *estimate.Entry, scns []
 	for i, sc := range scns {
 		b, err := s.resolveTriple(sc.Machine, sc.Op, sc.Algorithm)
 		if err == nil {
-			err = s.addItem(scr, scr.groupFor(es, entry, b), sc.P, sc.M)
+			err = s.addItem(scr, s.groupFor(scr, es, entry, b), sc.P, sc.M)
 		}
 		if err != nil {
 			return fmt.Errorf("scenario %d (%s/%s): %w", i, sc.Machine, sc.Op, err)
@@ -336,18 +352,24 @@ func (s *Server) resolveScenarios(es *entryState, entry *estimate.Entry, scns []
 
 // resolveWire groups a decoded binary request. Each distinct
 // (machine, op, algorithm) index triple of the string table is looked
-// up once per request — the point of the string table — and every
-// record then pays only the (p, m) validation.
+// up once per request — the point of the string table — through the
+// request's wireTable, and every record then pays only the table probe
+// and the (p, m) validation.
 func (s *Server) resolveWire(es *entryState, entry *estimate.Entry, req *wire.Request, scr *scratch) error {
+	tab := &scr.wtab
 	for i, rec := range req.Records {
-		tk := uint64(rec.Mach)<<42 | uint64(rec.Op)<<21 | uint64(rec.Alg)
-		gi, ok := scr.byWire[tk]
+		// Table indexes are below wire's 1<<20 cap, so the key is exact.
+		key := uint64(rec.Mach)<<42 | uint64(rec.Op)<<21 | uint64(rec.Alg)
+		sl, ok := tab.find(key)
+		var gi int32
 		var err error
-		if !ok {
+		if ok {
+			gi = sl.gi
+		} else {
 			var b *binding
 			if b, err = s.resolveTriple(req.Table[rec.Mach], req.Table[rec.Op], req.Table[rec.Alg]); err == nil {
-				gi = scr.groupFor(es, entry, b)
-				scr.byWire[tk] = gi
+				gi = s.groupFor(scr, es, entry, b)
+				tab.insert(sl, key, gi)
 			}
 		}
 		if err == nil {
@@ -359,6 +381,67 @@ func (s *Server) resolveWire(es *entryState, entry *estimate.Entry, req *wire.Re
 		}
 	}
 	return nil
+}
+
+// wireTable maps a binary request's string-table index triples to the
+// request's groups: open addressing over a fixed array whose slots are
+// stamped with the request's generation, so starting a request costs
+// one increment however many triples the requests before it used. It
+// holds wireSlots/2 triples; a request with more distinct index
+// triples (a string table repeating its names) resolves each record of
+// the rest by name, through resolveTriple and groupFor.
+type wireTable struct {
+	gen   uint32
+	n     int
+	slots [wireSlots]wireSlot
+}
+
+type wireSlot struct {
+	gen uint32
+	gi  int32
+	key uint64
+}
+
+const (
+	wireBits  = 8
+	wireSlots = 1 << wireBits
+)
+
+// reset empties the table for the next request.
+func (t *wireTable) reset() {
+	t.n = 0
+	if t.gen++; t.gen == 0 { // wrapped: stale stamps could match again
+		t.slots = [wireSlots]wireSlot{}
+		t.gen = 1
+	}
+}
+
+// find returns key's slot and true, or else the empty slot key goes
+// into and false — nil once the table is full.
+func (t *wireTable) find(key uint64) (*wireSlot, bool) {
+	// Fibonacci hashing; at most half the slots are used, so the probe
+	// ends at an empty slot.
+	for i := key * 0x9e3779b97f4a7c15 >> (64 - wireBits); ; i = (i + 1) & (wireSlots - 1) {
+		sl := &t.slots[i]
+		if sl.gen != t.gen {
+			if t.n == wireSlots/2 {
+				return nil, false
+			}
+			return sl, false
+		}
+		if sl.key == key {
+			return sl, true
+		}
+	}
+}
+
+// insert fills the empty slot find returned for key; a nil slot (the
+// table is full) leaves key to the by-name path.
+func (t *wireTable) insert(sl *wireSlot, key uint64, gi int32) {
+	if sl != nil {
+		*sl = wireSlot{gen: t.gen, gi: gi, key: key}
+		t.n++
+	}
 }
 
 // calibrate finishes the request's fresh groups and publishes them to
@@ -398,26 +481,20 @@ func (scr *scratch) calibrate(es *entryState, entry *estimate.Entry, workers int
 	return len(precal) > 0
 }
 
-// blockSize is how many consecutive scenarios one pool job answers.
-// A warm closed-form scenario costs ~40 ns in place (Predict plus the
-// bound scan), so a block is a few µs of work: still above a job claim
-// plus a goroutine start, while a 788-scenario batch splits into 13
-// blocks that balance across the pool; paired grid-wire runs on a
-// 2-vCPU host read the same at 256 (4 blocks). A request of at most one
-// block and no backend calls runs inline in the handler goroutine.
-const blockSize = 64
-
-// dispatch answers every item of the request into scr.answers,
-// scr.cres and scr.errs (sized and indexed like scr.items). Jobs are
-// claimed from one atomic counter by at most workers goroutines, the
-// handler's own included. Each scenario that calls a backend — a sim
-// fallback, through the answer cache, or a closed form of an entry
-// with no expression, uncached — is a job of its own, claimed first,
-// so one request's simulations run in parallel rather than queued
-// behind each other in a block. Then the request's direct closed forms
-// are answered in blocks of blockSize (see answerBlock).
-func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint64, scr *scratch, workers int, tr *obs.Trace, base time.Time) {
-	items, groups, answers, cres, errs := scr.items, scr.groups, scr.answers, scr.cres, scr.errs
+// dispatch answers every item of the request: each direct closed form
+// into the columns scr.micros and scr.bounds (indexed like scr.items),
+// each backend call into scr.called, scr.cres and scr.errs (indexed
+// like scr.calls). It returns how many closed forms carry a bound. A
+// backend call — a sim fallback, through the answer cache, or a closed
+// form of an entry with no expression, uncached — is a job claimed from
+// one atomic counter by at most workers goroutines, the handler's own
+// included, so one request's simulations run in parallel. The handler
+// answers the direct closed forms inline (see answerClosed), in the
+// shadow of any calls: at ~40 ns each a batch of them is over before a
+// second goroutine would be scheduled, and concurrent requests, which
+// the gate admits two per core, keep the other cores busy.
+func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint64, scr *scratch, workers int, tr *obs.Trace, base time.Time) int {
+	items, groups := scr.items, scr.groups
 	calls := scr.calls[:0]
 	for i := range items {
 		if items[i].kind != fbNone || !groups[items[i].g].direct {
@@ -425,70 +502,70 @@ func (s *Server) dispatch(ctx context.Context, entry *estimate.Entry, epoch uint
 		}
 	}
 	scr.calls = calls
-	njobs := len(calls) + (len(items)+blockSize-1)/blockSize
-	var next atomic.Int64
-	work := func() {
-		wt := workerTimer{tr: tr, base: base}
-		for j := int(next.Add(1) - 1); j < njobs; j = int(next.Add(1) - 1) {
-			if j < len(calls) {
-				i := calls[j]
-				it := items[i]
-				if g := groups[it.g].group; it.kind != fbNone {
-					cres[i], errs[i] = s.answerCached(ctx, entry, epoch, g, it, &wt, &answers[i])
-				} else {
-					answers[i], errs[i] = s.answerSafe(ctx, entry, g, it, &wt)
-				}
-				continue
-			}
-			lo := (j - len(calls)) * blockSize
-			hi := min(lo+blockSize, len(items))
-			answerBlock(groups, items[lo:hi], answers[lo:hi], &wt)
-		}
-		wt.flush()
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, njobs); w++ {
-		wg.Add(1)
+	n := len(calls)
+	scr.micros, scr.bounds = resize(scr.micros, len(items)), resize(scr.bounds, len(items))
+	scr.called, scr.cres, scr.errs = resize(scr.called, n), resize(scr.cres, n), resize(scr.errs, n)
+	scr.next.Store(0)
+	for w := 1; w < min(workers, n); w++ {
+		scr.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			work()
+			defer scr.wg.Done()
+			wt := workerTimer{tr: tr, base: base}
+			s.answerCalls(ctx, entry, epoch, scr, &wt)
+			wt.flush()
 		}()
 	}
-	work()
-	wg.Wait()
+	wt := workerTimer{tr: tr, base: base}
+	nb := answerClosed(groups, items, scr.micros, scr.bounds, &wt)
+	if n > 0 {
+		s.answerCalls(ctx, entry, epoch, scr, &wt)
+	}
+	wt.flush()
+	scr.wg.Wait()
+	return nb
 }
 
-// answerBlock answers a block's direct closed forms in place, skipping
-// the scenarios dispatch runs as calls: first every answer from its
-// group's expression, charged to the estimate stage, then every bound
-// from its group's column, charged to the bounds stage. Nothing is
+// answerCalls claims the request's backend calls until none is left.
+// Every call writes its Answer and error, a fallback its cache verdict
+// too, so the pooled slices need no clearing.
+func (s *Server) answerCalls(ctx context.Context, entry *estimate.Entry, epoch uint64, scr *scratch, wt *workerTimer) {
+	for j := int(scr.next.Add(1) - 1); j < len(scr.calls); j = int(scr.next.Add(1) - 1) {
+		it := scr.items[scr.calls[j]]
+		if g := scr.groups[it.g].group; it.kind != fbNone {
+			scr.cres[j], scr.errs[j] = s.answerCached(ctx, entry, epoch, g, it, wt, &scr.called[j])
+		} else {
+			scr.called[j], scr.errs[j] = s.answerSafe(ctx, entry, g, it, wt)
+		}
+	}
+}
+
+// answerClosed answers the request's direct closed forms into the
+// columns, skipping the items dispatch answers through a backend call:
+// first each µs from its group's expression, charged to the estimate
+// stage, then each bound from its group's column, charged to the
+// bounds stage. It returns how many answers carry a bound. Nothing is
 // allocated: the answers share their groups' Bounds.
-func answerBlock(groups []reqGroup, items []item, answers []Answer, wt *workerTimer) {
+func answerClosed(groups []reqGroup, items []item, micros []float64, bounds []*Bound, wt *workerTimer) int {
+	micros, bounds = micros[:len(items)], bounds[:len(items)]
 	e0 := wt.start()
 	for i := range items {
 		it := &items[i]
-		if it.kind != fbNone {
-			continue
-		}
-		if g := groups[it.g].group; g.direct {
-			// Every field, since the scratch answers are reused; field by
-			// field, since a composite literal is built aside and
-			// block-copied in, which cost more than the Predict.
-			a := &answers[i]
-			a.Machine, a.Op, a.Algorithm, a.P, a.M = g.mach.Name(), string(g.op), g.alg, it.p, it.m
-			a.Micros, a.Backend = g.expr.Predict(it.m, it.p), g.backend
-			a.Fallback, a.FallbackReason = false, ""
+		if g := groups[it.g].group; it.kind == fbNone && g.direct {
+			micros[i] = g.expr.Predict(it.m, it.p)
 		}
 	}
 	e1 := wt.estimateDone(e0)
+	nb := 0
 	for i := range items {
 		it := &items[i]
-		if it.kind != fbNone {
-			continue
-		}
-		if g := groups[it.g].group; g.direct {
-			answers[i].ExpectedError = g.bound(it.m)
+		if g := groups[it.g].group; it.kind == fbNone && g.direct {
+			b := g.bound(it.m)
+			bounds[i] = b
+			if b != nil {
+				nb++
+			}
 		}
 	}
 	wt.boundsDone(e1)
+	return nb
 }

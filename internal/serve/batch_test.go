@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -159,9 +160,10 @@ func referenceAnswer(t *testing.T, s *Server, entry *estimate.Entry, sc Scenario
 }
 
 // postCodec posts a batch for registry in one codec and returns the
-// response with its answers decoded into the JSON form. Binary answers
-// carry no echo or backend, so those fields come from want.
-func postCodec(t *testing.T, s *Server, codec Codec, registry string, scns []Scenario, want []Answer) (int, string, []Answer) {
+// response with its answers decoded into the JSON form. A binary frame
+// lists each name copies times (see wireFrame). Binary answers carry no
+// echo or backend, so those fields come from want.
+func postCodec(t *testing.T, s *Server, codec Codec, copies int, registry string, scns []Scenario, want []Answer) (int, string, []Answer) {
 	t.Helper()
 	var ct string
 	var body []byte
@@ -180,22 +182,7 @@ func postCodec(t *testing.T, s *Server, codec Codec, registry string, scns []Sce
 		}
 	case CodecBinary:
 		ct = wire.ContentType
-		req := wire.Request{Registry: registry}
-		index := map[string]uint32{}
-		intern := func(name string) uint32 {
-			if i, ok := index[name]; ok {
-				return i
-			}
-			index[name] = uint32(len(req.Table))
-			req.Table = append(req.Table, name)
-			return index[name]
-		}
-		for _, sc := range scns {
-			req.Records = append(req.Records, wire.Record{
-				Mach: intern(sc.Machine), Op: intern(sc.Op), Alg: intern(sc.Algorithm), P: sc.P, M: sc.M,
-			})
-		}
-		body = req.Append(nil)
+		body = wireFrame(registry, scns, copies)
 	}
 	r := httptest.NewRequest(http.MethodPost, "/v1/estimate?registry="+url.QueryEscape(registry), bytes.NewReader(body))
 	r.Header.Set("Content-Type", ct)
@@ -265,17 +252,30 @@ func sameAnswer(got, want Answer) bool {
 // alias beside its named variant, barriers at any m, and duplicate
 // scenarios — in each codec to its own answer-cached server, twice
 // (cold, then warm), and requires every answer to equal the
-// per-scenario reference exactly: same float64 µs, same bound. The warm
-// pass serves every fallback from the cache ("hit", no simulation; a
-// batch without fallbacks is a "bypass"). Some batches carry an unknown
-// name at a random index and must fail with the 400 message that names
-// that scenario.
+// per-scenario reference exactly: same float64 µs, same bound. Binary
+// frames go three ways: each name once in the string table, every name
+// at two indexes, and every record under index triples of its own
+// (which, in the batch longer than half the wireTable, overflows it).
+// The warm pass serves every fallback from the cache ("hit", no
+// simulation; a batch without fallbacks is a "bypass"). Some batches
+// carry an unknown name at a random index, or an invalid (p, m) after
+// valid records of its triple, and must fail with the 400 message that
+// names that scenario.
 func TestBatchEquivalenceAcrossCodecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	memo := estimate.NewSampleMemo()
 	reg := equivalenceRegistry(t, rng, memo)
-	servers := make([]*Server, numCodecs)
-	sims := make([]*countingBackend, numCodecs)
+	type shape struct {
+		name   string
+		codec  Codec
+		copies int // of each name in a binary frame's table; 0: one per record
+	}
+	shapes := []shape{
+		{"json", CodecJSON, 1}, {"ndjson", CodecNDJSON, 1},
+		{"binary", CodecBinary, 1}, {"binary repeated names", CodecBinary, 2}, {"binary triple per record", CodecBinary, 0},
+	}
+	servers := make([]*Server, len(shapes))
+	sims := make([]*countingBackend, len(shapes))
 	for c := range servers {
 		sims[c] = &countingBackend{inner: estimate.Sim{Memo: memo}}
 		servers[c] = &Server{
@@ -295,7 +295,11 @@ func TestBatchEquivalenceAcrossCodecs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scns := make([]Scenario, 1+rng.Intn(150))
+		n := 1 + rng.Intn(150)
+		if b == 1 {
+			n += wireSlots / 2 // past the wireTable's capacity
+		}
+		scns := make([]Scenario, n)
 		for i := range scns {
 			if i > 0 && rng.Intn(5) == 0 {
 				scns[i] = scns[rng.Intn(i)] // a duplicate
@@ -324,56 +328,89 @@ func TestBatchEquivalenceAcrossCodecs(t *testing.T) {
 			i := rng.Intn(len(scns))
 			bad := scns[i]
 			var err error
-			switch rng.Intn(3) {
+			switch rng.Intn(5) {
 			case 0:
 				bad.Machine = "CM5"
 				_, err = estimate.ResolveMachine(bad.Machine)
 			case 1:
 				bad.Op = "shuffle"
 				_, err = estimate.ResolveOp(bad.Op)
-			default:
+			case 2:
 				bad.Algorithm = "carrier-pigeon"
 				_, err = estimate.ResolveAlgorithm(machine.ByName(bad.Machine), machine.Op(bad.Op), bad.Algorithm)
+			default:
+				// An invalid (p, m) after every record, on a triple the
+				// request already uses; a barrier's m is ignored, and a
+				// negative m has no binary form.
+				i = len(scns)
+				switch k := rng.Intn(3); {
+				case k == 0 || k == 1 && bad.Op == string(machine.OpBarrier):
+					bad.P = 1
+					err = fmt.Errorf("p=%d: a collective needs at least 2 nodes", bad.P)
+				case k == 1 || bad.Op == string(machine.OpBarrier):
+					max := machine.ByName(bad.Machine).MaxNodes()
+					bad.P = max + 1
+					err = fmt.Errorf("p=%d exceeds the %s's %d nodes", bad.P, bad.Machine, max)
+				default:
+					bad.M = 16<<20 + 1
+					err = fmt.Errorf("m=%d exceeds the service cap of %d bytes", bad.M, 16<<20)
+				}
 			}
-			scns[i] = bad
+			if i == len(scns) {
+				scns = append(scns, bad)
+				seen["invalid record after valid ones"]++
+			} else {
+				scns[i] = bad
+			}
 			wantErr = fmt.Sprintf("scenario %d (%s/%s): %v", i, bad.Machine, bad.Op, err)
 		}
-		for c := Codec(0); c < numCodecs; c++ {
+		for c, sh := range shapes {
+			copies := sh.copies
+			if copies == 0 {
+				copies = len(scns)
+				if len(scns) > wireSlots/2 && wantErr == "" {
+					seen["more index triples than the wireTable holds"]++
+				}
+			}
 			for _, pass := range []string{"cold", "warm"} {
 				calls := sims[c].calls.Load()
-				code, verdict, got := postCodec(t, servers[c], c, registry, scns, want)
+				code, verdict, got := postCodec(t, servers[c], sh.codec, copies, registry, scns, want)
 				if wantErr != "" {
 					if code != http.StatusBadRequest || verdict != wantErr {
-						t.Fatalf("batch %d %s %s: status %d %q, want 400 %q", b, codecNames[c], pass, code, verdict, wantErr)
+						t.Fatalf("batch %d %s %s: status %d %q, want 400 %q", b, sh.name, pass, code, verdict, wantErr)
 					}
 					continue
 				}
 				if code != http.StatusOK {
-					t.Fatalf("batch %d %s %s: status %d: %s", b, codecNames[c], pass, code, verdict)
+					t.Fatalf("batch %d %s %s: status %d: %s", b, sh.name, pass, code, verdict)
 				}
 				if pass == "warm" && verdict != warmVerdict {
-					t.Fatalf("batch %d %s warm: X-Estimate-Cache %q, want %s", b, codecNames[c], verdict, warmVerdict)
+					t.Fatalf("batch %d %s warm: X-Estimate-Cache %q, want %s", b, sh.name, verdict, warmVerdict)
 				}
 				if ran := sims[c].calls.Load() - calls; pass == "warm" && ran != 0 {
-					t.Fatalf("batch %d %s warm: simulator ran %d times, want 0 (every fallback a hit)", b, codecNames[c], ran)
+					t.Fatalf("batch %d %s warm: simulator ran %d times, want 0 (every fallback a hit)", b, sh.name, ran)
 				}
 				if len(got) != len(want) {
-					t.Fatalf("batch %d %s %s: %d answers, want %d", b, codecNames[c], pass, len(got), len(want))
+					t.Fatalf("batch %d %s %s: %d answers, want %d", b, sh.name, pass, len(got), len(want))
 				}
 				for i := range want {
 					if !sameAnswer(got[i], want[i]) {
 						t.Fatalf("batch %d %s %s answer %d (%+v):\n got %+v %+v\nwant %+v %+v",
-							b, codecNames[c], pass, i, scns[i], got[i], got[i].ExpectedError, want[i], want[i].ExpectedError)
+							b, sh.name, pass, i, scns[i], got[i], got[i].ExpectedError, want[i], want[i].ExpectedError)
 					}
 				}
 			}
 		}
 	}
-	// The draw must have exercised every fallback kind and the
-	// piecewise segment scoping, or the equivalence proves little.
-	for _, kind := range []string{"outside the calibrated range", "has no", "vendor-default", "segment-scoped bound"} {
+	// The draw must have exercised every fallback kind, the piecewise
+	// segment scoping and the wireTable's edges, or the equivalence
+	// proves little.
+	for _, kind := range []string{
+		"outside the calibrated range", "has no", "vendor-default", "segment-scoped bound",
+		"invalid record after valid ones", "more index triples than the wireTable holds",
+	} {
 		if seen[kind] == 0 {
-			t.Errorf("no reference answer with %q in the random batches", kind)
+			t.Errorf("no %q in the random batches", kind)
 		}
 	}
 }
@@ -408,17 +445,17 @@ func (b *rendezvousSim) Estimate(ctx context.Context, mach *machine.Machine, op 
 // TestFallbacksRunInParallel: with a two-worker pool, a batch of
 // closed-form scenarios with two sim fallbacks among them answers only
 // if the two simulations are in flight at once — a dispatcher that
-// queued one request's fallbacks behind each other (say, in the same
-// block) times out into a 500.
+// queued one request's fallbacks behind each other (say, both on the
+// handler goroutine) times out into a 500.
 func TestFallbacksRunInParallel(t *testing.T) {
 	s := testServer(t)
 	s.Workers = 2
 	sim := &rendezvousSim{inner: s.Sim, want: 2, all: make(chan struct{})}
 	s.Sim = sim
 	var batch []string
-	for i := 0; i < 2*blockSize; i++ {
+	for i := 0; i < 128; i++ {
 		m := 16
-		if i == 5 || i == 9 { // outside the calibrated m ≤ 1024, in one block
+		if i == 5 || i == 9 { // outside the calibrated m ≤ 1024, close together
 			m = 65536 + i
 		}
 		batch = append(batch, fmt.Sprintf(`{"machine":"T3D","op":"broadcast","p":8,"m":%d}`, m))
@@ -487,5 +524,71 @@ func TestBoundColumnMatchesLookup(t *testing.T) {
 		if cols := boundColumns(table, "Paragon", op, nil); cols != nil {
 			t.Fatalf("no row for the pair: columns %+v, want none", cols)
 		}
+	}
+}
+
+// TestWireTableResetAfterHugeRequest: a pooled scratch that resolved a
+// frame with more index triples than its wireTable holds starts the
+// next request with one generation bump, not a sweep — reset writes no
+// slot, so a huge request cannot slow the small ones after it — and the
+// small frame, whose index triple (0, 1, 2) names another triple than
+// it did in the huge frame, resolves to its own groups, never to a
+// stale slot. When the generation wraps, reset clears the slots once.
+func TestWireTableResetAfterHugeRequest(t *testing.T) {
+	s := testServer(t)
+	entry, err := s.registry().Get("test-cal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := s.entryState(entry)
+	resolve := func(scr *scratch, frame []byte, scns []Scenario) {
+		t.Helper()
+		scr.reset(len(scns))
+		if err := scr.wreq.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.resolveWire(es, entry, &scr.wreq, scr); err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range scr.items {
+			if g := scr.groups[it.g]; g.mach.Name() != scns[i].Machine || string(g.op) != scns[i].Op {
+				t.Fatalf("record %d (%s/%s) resolved to %s/%s", i, scns[i].Machine, scns[i].Op, g.mach.Name(), g.op)
+			}
+		}
+	}
+	t3d := Scenario{Machine: "T3D", Op: "broadcast", P: 8, M: 16}
+	sp2 := Scenario{Machine: "SP2", Op: "alltoall", P: 8, M: 1024}
+	huge := make([]Scenario, 3*wireSlots)
+	for i := range huge {
+		huge[i] = []Scenario{t3d, sp2}[i%2]
+	}
+	scr := &scratch{byID: make(map[uint64]int32)}
+	// Every record under its own index triple; record 0's, (0, 1, 2),
+	// names T3D/broadcast, the huge request's group 0.
+	resolve(scr, wireFrame("", huge, len(huge)), huge)
+	if scr.wtab.n != wireSlots/2 || len(scr.groups) != 2 {
+		t.Fatalf("huge frame: %d table entries, %d groups; want a full table (%d) and 2 groups", scr.wtab.n, len(scr.groups), wireSlots/2)
+	}
+	slots := scr.wtab.slots
+	scr.reset(2)
+	if scr.wtab.slots != slots || scr.wtab.n != 0 {
+		t.Fatal("reset swept the table's slots")
+	}
+	// Here (0, 1, 2) names SP2/alltoall, the small request's group 1.
+	small := wire.Request{
+		Table: []string{"SP2", "alltoall", "", "T3D", "broadcast"},
+		Records: []wire.Record{
+			{Mach: 3, Op: 4, Alg: 2, P: t3d.P, M: t3d.M},
+			{Mach: 0, Op: 1, Alg: 2, P: sp2.P, M: sp2.M},
+		},
+	}
+	resolve(scr, small.Append(nil), []Scenario{t3d, sp2})
+	if scr.wtab.n != 2 {
+		t.Fatalf("small frame: %d table entries, want 2", scr.wtab.n)
+	}
+	scr.wtab.gen = math.MaxUint32
+	scr.wtab.reset()
+	if scr.wtab.gen != 1 || scr.wtab.slots != [wireSlots]wireSlot{} {
+		t.Fatalf("wrapped generation: gen %d, slots not cleared", scr.wtab.gen)
 	}
 }

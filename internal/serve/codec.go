@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/estimate"
 	"repro/internal/serve/wire"
@@ -115,19 +116,49 @@ func WriteNDJSONAnswers(w http.ResponseWriter, answers []Answer) {
 }
 
 // writeWire encodes the binary response into the scratch buffer (grown
-// once, reused across requests) straight from the answers and writes it
-// in one call.
-func writeWire(w http.ResponseWriter, scr *scratch, registry, backend, provenance string, answers []Answer) {
-	b := wire.AppendResponseHeader(scr.wbuf[:0], registry, backend, provenance, len(answers))
-	for i := range answers {
-		a := &answers[i]
+// once, reused across requests) straight from the request's answers —
+// a closed form from the columns, a backend call from its Answer — and
+// writes it in one call.
+func writeWire(w http.ResponseWriter, scr *scratch, registry, backend, provenance string) {
+	b := wire.AppendResponseHeader(scr.wbuf[:0], registry, backend, provenance, len(scr.items))
+	calls, j := scr.calls, 0
+	for i := range scr.items {
 		// Bound and wire.Bound share their fields, so the pointer
 		// converts; a field added to one but not the other stops this
 		// compiling.
-		b = wire.AppendAnswerParts(b, a.Micros, a.Fallback, a.FallbackReason, (*wire.Bound)(a.ExpectedError))
+		if j < len(calls) && int(calls[j]) == i {
+			a := &scr.called[j]
+			j++
+			b = wire.AppendAnswerParts(b, a.Micros, a.Fallback, a.FallbackReason, (*wire.Bound)(a.ExpectedError))
+			continue
+		}
+		b = wire.AppendAnswerParts(b, scr.micros[i], false, "", (*wire.Bound)(scr.bounds[i]))
 	}
 	scr.wbuf = b
 	writeBody(w, http.StatusOK, wire.ContentType, b)
+}
+
+// answerList assembles the request's answers in order for the JSON and
+// NDJSON encoders: a backend call's Answer as answered, a direct closed
+// form's built from its group, its item and the columns — the one place
+// a closed-form Answer is built.
+func (scr *scratch) answerList() []Answer {
+	answers := resize(scr.answers, len(scr.items))
+	scr.answers = answers
+	calls, j := scr.calls, 0
+	for i, it := range scr.items {
+		if j < len(calls) && int(calls[j]) == i {
+			answers[i] = scr.called[j]
+			j++
+			continue
+		}
+		g := scr.groups[it.g].group
+		answers[i] = Answer{
+			Scenario: Scenario{Machine: g.mach.Name(), Op: string(g.op), Algorithm: g.alg, P: it.p, M: it.m},
+			Micros:   scr.micros[i], Backend: g.backend, ExpectedError: scr.bounds[i],
+		}
+	}
+	return answers
 }
 
 // writeBody writes a fully buffered response with its Content-Length,
@@ -163,26 +194,36 @@ func putBuffer(b *bytes.Buffer) {
 }
 
 // scratch is the per-request working set — the grouped batch (items,
-// groups, and the lookups that build them), answers, cache verdicts,
-// the decoded binary frame, and the binary encode buffer — pooled so a
-// steady request stream stops allocating per request on every codec
-// path. Slices are resliced and fully overwritten each use.
+// groups, and the lookups that build them), the answers, the decoded
+// binary frame, and the binary encode buffer — pooled so a steady
+// request stream stops allocating per request on every codec path.
+// Slices are resliced and fully overwritten each use.
 type scratch struct {
-	items   []item
-	groups  []reqGroup
-	byID    map[uint64]int32  // binding id → group index
-	byWire  map[uint64]int32  // binary string-table index triple → group index
-	precal  []estimate.Triple // the request's closed-form triples
-	calls   []int32           // indexes of the items answered by a backend call
-	answers []Answer
+	items  []item
+	groups []reqGroup
+	byID   map[uint64]int32  // binding id → group index
+	wtab   wireTable         // binary string-table index triple → group index
+	precal []estimate.Triple // the request's closed-form triples
+	// The answers (see dispatch). A direct closed form's are two columns
+	// indexed like items, its µs and its bound; a backend call's is a
+	// whole Answer with its cache verdict and error, indexed like calls,
+	// the indexes of the items answered by a backend call. next is the
+	// calls' job counter, wg the goroutines helping claim them.
+	micros  []float64
+	bounds  []*Bound
+	calls   []int32
+	called  []Answer
 	cres    []uint8
 	errs    []error
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	answers []Answer // the assembled answers of a JSON or NDJSON response
 	wreq    wire.Request
 	wbuf    []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{byID: make(map[uint64]int32), byWire: make(map[uint64]int32)}
+	return &scratch{byID: make(map[uint64]int32)}
 }}
 
 func getScratch() *scratch {
@@ -204,36 +245,14 @@ func (s *scratch) reset(n int) {
 	s.items = s.items[:0]
 	s.groups = s.groups[:0]
 	clear(s.byID)
-	clear(s.byWire)
+	s.wtab.reset()
 }
 
-func (s *scratch) answerSlice(n int) []Answer {
-	if cap(s.answers) < n {
-		s.answers = make([]Answer, n)
+// resize returns s resliced to length n, reallocated when too short.
+// The contents are stale: callers overwrite every element they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	s.answers = s.answers[:n]
-	return s.answers
-}
-
-func (s *scratch) cacheSlice(n int) []uint8 {
-	if cap(s.cres) < n {
-		s.cres = make([]uint8, n)
-	}
-	s.cres = s.cres[:n]
-	return s.cres
-}
-
-// errSlice returns the per-scenario error slice, cleared: unlike the
-// other scratch slices it is sparsely written (most scenarios succeed),
-// so stale pooled values must be zeroed.
-func (s *scratch) errSlice(n int) []error {
-	if cap(s.errs) < n {
-		s.errs = make([]error, n)
-		return s.errs
-	}
-	s.errs = s.errs[:n]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
-	return s.errs
+	return s[:n]
 }

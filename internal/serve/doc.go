@@ -16,13 +16,16 @@
 // fitted expression and its expected-error bound column are fixed once
 // per triple and registry entry, memoized in the entry's state, so a
 // warm request does per-scenario work only: each closed form is
-// evaluated in place from its group's expression and bound column.
+// evaluated in place, in the handler goroutine, from its group's
+// expression and bound column into two answer columns (µs, bound).
 // Cold calibrated batches bulk-calibrate their new triples first (so a
-// request never serializes behind one triple's first fit), and the
-// scenarios are answered in blocks across a bounded worker pool, each
-// simulator fallback on its own. Only fallbacks go through the answer
-// cache (AnswerCache). Responses are encoded straight from the answers
-// into one buffer and written with their Content-Length.
+// request never serializes behind one triple's first fit). Scenarios
+// that call a backend — simulator fallbacks, through the answer cache
+// (AnswerCache), and entries with no expression — run across a bounded
+// worker pool, each on its own. The binary codec encodes closed forms
+// straight from the columns; JSON and NDJSON assemble the answers at
+// encode time. Responses are written from one buffer with their
+// Content-Length.
 //
 // # Honesty guarantees
 //

@@ -112,7 +112,7 @@ func TestWarmRequestBuildsNoGroup(t *testing.T) {
 	inRange := []Scenario{{Machine: "Paragon", Op: "gather", P: 8, M: 16}}
 	binary := func(scns []Scenario) func(scr *scratch) error {
 		return func(scr *scratch) error {
-			if err := scr.wreq.Decode(wireFrame("", scns)); err != nil {
+			if err := scr.wreq.Decode(wireFrame("", scns, 1)); err != nil {
 				return err
 			}
 			return s.resolveWire(es, entry, &scr.wreq, scr)

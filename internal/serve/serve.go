@@ -559,8 +559,9 @@ func setProvenance(w http.ResponseWriter, e *estimate.Entry) {
 	h.Set("X-Estimate-Provenance", e.Provenance())
 }
 
-// serveEstimate does the work of POST /v1/estimate and reports the
-// request's outcome for instrumentation. tr may be nil.
+// serveEstimate does the work of POST /v1/estimate — decode, evaluate,
+// encode — and reports the request's outcome for instrumentation. tr
+// may be nil.
 func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.Trace) reqStats {
 	st := reqStats{status: http.StatusOK, codec: CodecUnknown}
 	// Until the request names a registry, errors are attributed to the
@@ -603,15 +604,40 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 		}
 		return fail(status, fmt.Errorf("reading request body: %w", err))
 	}
-	body := bodyBuf.Bytes()
 	scr := getScratch()
 	defer putScratch(scr)
 
-	// Decode: the codecs differ only here and at encode. JSON and
-	// NDJSON produce named scenarios for the resolve loop; the binary
-	// frame is resolved through its string table below.
+	var es *entryState
+	if entry, es, err = s.decode(r, codec, bodyBuf.Bytes(), entry, scr, &st, &tm); err != nil {
+		return fail(http.StatusBadRequest, err)
+	}
+	if err := s.evaluate(ctx, entry, es, scr, &st, &tm); err != nil {
+		// A deadline that expired where no closed-form degraded answer
+		// exists is a timeout the client must know about; anything else
+		// (an injected fault, a recovered backend panic) is a 500.
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			return fail(http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded with no degraded answer available: %w", err))
+		}
+		return fail(http.StatusInternalServerError, err)
+	}
+	s.encode(w, codec, entry, scr, st)
+	tm.mark(obs.StageEncode)
+	return st
+}
+
+// decode reads a request body in codec into scr: the scenarios grouped
+// by triple (see resolveScenarios and resolveWire), under the registry
+// entry that answers them, which it returns with its memo and names in
+// st. Every error is a 400; the entry returned with one is the one the
+// failure is attributed to: def until the request names a registry,
+// nil when the name is unknown.
+func (s *Server) decode(r *http.Request, codec Codec, body []byte, def *estimate.Entry, scr *scratch, st *reqStats, tm *stageTimer) (*estimate.Entry, *entryState, error) {
+	// The codecs differ only here and at encode. JSON and NDJSON produce
+	// named scenarios for the resolve loop; the binary frame is resolved
+	// through its string table.
 	var regName string
 	var scns []Scenario
+	var err error
 	switch codec {
 	case CodecNDJSON:
 		scns, err = ParseNDJSON(body)
@@ -624,7 +650,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	}
 	tm.mark(obs.StageDecode)
 	if err != nil {
-		return fail(http.StatusBadRequest, err)
+		return def, nil, err
 	}
 	if regName == "" && r.URL.RawQuery != "" {
 		regName = r.URL.Query().Get("registry")
@@ -632,8 +658,9 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 	if regName == "" {
 		regName = s.Default
 	}
-	if entry, err = s.registry().Get(regName); err != nil {
-		return fail(http.StatusBadRequest, err)
+	entry, err := s.registry().Get(regName)
+	if err != nil {
+		return nil, nil, err
 	}
 	st.registry = entry.Name
 	n := len(scns)
@@ -641,11 +668,10 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 		n = len(scr.wreq.Records)
 	}
 	if n == 0 {
-		return fail(http.StatusBadRequest, errors.New("the request carries no scenarios"))
+		return entry, nil, errors.New("the request carries no scenarios")
 	}
 	if n > s.maxBatch() {
-		return fail(http.StatusBadRequest,
-			fmt.Errorf("%d scenarios exceed the batch cap of %d", n, s.maxBatch()))
+		return entry, nil, fmt.Errorf("%d scenarios exceed the batch cap of %d", n, s.maxBatch())
 	}
 	scr.reset(n)
 	es := s.entryState(entry)
@@ -655,33 +681,38 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 		err = s.resolveScenarios(es, entry, scns, scr)
 	}
 	if err != nil {
-		return fail(http.StatusBadRequest, err)
+		return entry, nil, err
 	}
 	tm.mark(obs.StageResolve)
+	return entry, es, nil
+}
 
+// evaluate answers the request resolved into scr — calibrating its
+// fresh groups, then dispatch — and tallies the outcome into st. The
+// error is the first failed scenario's, in request order.
+func (s *Server) evaluate(ctx context.Context, entry *estimate.Entry, es *entryState, scr *scratch, st *reqStats, tm *stageTimer) error {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	scr.calibrate(es, entry, workers)
 	tm.mark(obs.StageCalibrate)
-
-	answers, cres, errs := scr.answerSlice(n), scr.cacheSlice(n), scr.errSlice(n)
-	s.dispatch(ctx, entry, es.epoch, scr, workers, tr, tm.base)
+	st.bounds = s.dispatch(ctx, entry, es.epoch, scr, workers, tm.tr, tm.base)
 	tm.skip()
 
-	st.scenarios = n
+	st.scenarios = len(scr.items)
 	var scErr error
-	for i, it := range scr.items {
-		if errs[i] != nil && scErr == nil {
+	for j, i := range scr.calls {
+		it := scr.items[i]
+		if err := scr.errs[j]; err != nil && scErr == nil {
 			g := scr.groups[it.g]
 			scErr = fmt.Errorf("scenario %d (%s/%s p=%d m=%d): %w",
-				i, g.mach.Name(), g.op, it.p, it.m, errs[i])
+				i, g.mach.Name(), g.op, it.p, it.m, err)
 		}
 		if it.kind != fbNone {
 			st.fallbacks++
 			st.kinds[it.kind]++
-			switch cres[i] {
+			switch scr.cres[j] {
 			case cacheHit:
 				st.cacheHits++
 			case cacheMiss:
@@ -690,41 +721,36 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, tr *obs.T
 				st.cacheBypass++
 			}
 		}
-		if answers[i].FallbackReason == reasonDegraded {
+		a := &scr.called[j]
+		if a.FallbackReason == reasonDegraded {
 			st.degraded++
 		}
-		if answers[i].ExpectedError != nil {
+		if a.ExpectedError != nil {
 			st.bounds++
 		}
 	}
-	if scErr != nil {
-		// A deadline that expired where no closed-form degraded answer
-		// exists is a timeout the client must know about; anything else
-		// (an injected fault, a recovered backend panic) is a 500.
-		if errors.Is(scErr, context.DeadlineExceeded) || errors.Is(scErr, context.Canceled) {
-			return fail(http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded with no degraded answer available: %w", scErr))
-		}
-		return fail(http.StatusInternalServerError, scErr)
-	}
+	return scErr
+}
 
+// encode writes the answered request in codec, with the provenance and
+// answer-cache headers. The binary codec encodes straight from the
+// answer columns; JSON and NDJSON encode the assembled Answers.
+func (s *Server) encode(w http.ResponseWriter, codec Codec, entry *estimate.Entry, scr *scratch, st reqStats) {
 	setProvenance(w, entry)
 	w.Header().Set("X-Estimate-Cache", cacheVerdict(st))
 	switch codec {
 	case CodecNDJSON:
-		WriteNDJSONAnswers(w, answers)
+		WriteNDJSONAnswers(w, scr.answerList())
 	case CodecBinary:
-		writeWire(w, scr, entry.Name, entry.Backend.Name(), entry.Provenance(), answers)
+		writeWire(w, scr, entry.Name, entry.Backend.Name(), entry.Provenance())
 	default:
-		resp := Response{
+		writeJSON(w, http.StatusOK, Response{
 			Registry:   entry.Name,
 			Backend:    entry.Backend.Name(),
 			Provenance: entry.Provenance(),
-			Answers:    answers,
-		}
-		writeJSON(w, http.StatusOK, resp)
+			Answers:    scr.answerList(),
+		})
 	}
-	tm.mark(obs.StageEncode)
-	return st
 }
 
 // cacheVerdict summarizes a served request's answer-cache interaction

@@ -22,7 +22,7 @@ var tinyCfg = measure.Config{Warmup: 1, K: 2, Reps: 1, Seed: 3}
 // testServer builds a server over a fixed two-entry registry: a tiny
 // calibrated set (sizes 4,8 × lengths 16,1024) with handcrafted error
 // bounds, and the paper's Table 3.
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	memo := estimate.NewSampleMemo()
 	cal := &estimate.Calibrated{
