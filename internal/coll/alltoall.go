@@ -96,33 +96,36 @@ func AlltoallBruck(t Transport, blocks [][]byte) [][]byte {
 
 	// Phase 2: for each bit k, send every block whose offset has bit k
 	// set to (rank+2^k), receive the same set from (rank−2^k).
+	// idx and bundle are reused across rounds: a round selects at most
+	// p/2 blocks.
 	round := 0
+	idx := make([]int, 0, p/2)
+	bundle := make([][]byte, 0, p/2)
 	for k := 1; k < p; k <<= 1 {
-		var idx []int
+		idx, bundle = idx[:0], bundle[:0]
 		for i := 0; i < p; i++ {
 			if i&k != 0 {
 				idx = append(idx, i)
+				bundle = append(bundle, tmp[i])
 			}
-		}
-		bundle := make([][]byte, 0, len(idx))
-		for _, i := range idx {
-			bundle = append(bundle, tmp[i])
 		}
 		dst := (rank + k) % p
 		src := (rank - k + p) % p
 		t.Send(dst, tagAlltoall+round<<8, merge(t, bundle))
 		in := t.Recv(src, tagAlltoall+round<<8)
-		var parts [][]byte
 		if size > 0 {
-			parts = split(in, len(idx))
-		} else {
-			parts = make([][]byte, len(idx))
-			for i := range parts {
-				parts[i] = []byte{}
+			// Cut the bundle back into its blocks in place.
+			if len(in)%len(idx) != 0 {
+				panic("coll: buffer not divisible into equal blocks")
 			}
-		}
-		for j, i := range idx {
-			tmp[i] = parts[j]
+			sz := len(in) / len(idx)
+			for j, i := range idx {
+				tmp[i] = in[j*sz : (j+1)*sz : (j+1)*sz]
+			}
+		} else {
+			for _, i := range idx {
+				tmp[i] = []byte{}
+			}
 		}
 		round++
 	}

@@ -19,10 +19,17 @@ type Comm struct {
 	proc    *sim.Proc
 	opClass machine.Op
 
-	group    []int // world ranks of the members, nil for the world
-	myIdx    int   // my position in group (== rank when group is nil)
-	ctx      int   // communicator context ID (0 for the world)
-	splitSeq *int  // per-communicator Split counter (shared by as())
+	group []int       // world ranks of the members, nil for the world
+	myIdx int         // my position in group (== rank when group is nil)
+	ctx   int         // communicator context ID (0 for the world)
+	sh    *commShared // shared by every cost-classed view (see as)
+}
+
+// commShared is what all cost-classed views of one rank's communicator
+// share: its Split counter and the views themselves.
+type commShared struct {
+	splitSeq int
+	views    []Comm
 }
 
 var _ coll.Transport = (*Comm)(nil)
@@ -86,13 +93,25 @@ func (c *Comm) Wtime() sim.Time { return c.w.cluster.LocalClock(c.rank) }
 // application computation between communication phases.
 func (c *Comm) Compute(d sim.Duration) { c.proc.Sleep(d) }
 
-// as returns a shallow copy of the communicator with the cost class set,
-// under which Send/Recv/Combine charge that operation's calibrated
-// overheads.
+// as returns a view of the communicator with the cost class set, under
+// which Send/Recv/Combine charge that operation's calibrated overheads.
+// A view is a shallow copy made once per communicator and op, then
+// reused. Every field but opClass is fixed, so a view left behind when
+// the views slice grows stays equivalent to its copy.
 func (c *Comm) as(op machine.Op) *Comm {
-	cc := *c
-	cc.opClass = op
-	return &cc
+	if c.opClass == op {
+		return c
+	}
+	sh := c.sh
+	for i := range sh.views {
+		if sh.views[i].opClass == op {
+			return &sh.views[i]
+		}
+	}
+	sh.views = append(sh.views, *c)
+	v := &sh.views[len(sh.views)-1]
+	v.opClass = op
+	return v
 }
 
 // Send transmits data to dst with the given tag. Messages up to the
@@ -103,24 +122,26 @@ func (c *Comm) as(op machine.Op) *Comm {
 // machines — without this a looping sender would pre-book the network
 // arbitrarily far ahead.
 func (c *Comm) Send(dst, tag int, data []byte) {
+	txDone := c.inject(dst, tag, data)
+	if len(data) > c.w.cluster.Machine().EagerLimit() {
+		if wait := txDone.Sub(c.proc.Now()); wait > 0 {
+			c.proc.Sleep(wait)
+		}
+	}
+}
+
+// inject charges the sender's per-message overhead, books the transfer
+// on the fabric and schedules the message's delivery at dst. It returns
+// the time injection completes, when the send buffer is free again.
+func (c *Comm) inject(dst, tag int, data []byte) (txDone sim.Time) {
 	cl := c.w.cluster
 	m := cl.Machine()
 	wdst := c.worldRank(dst)
 	c.proc.Sleep(cl.Jitter(m.SendCost(c.opClass)))
 	txDone, arrive := cl.Net().TransferDetail(
 		c.rank, wdst, len(data), c.proc.Now(), m.InjMBs(c.opClass, len(data)))
-	st := c.w.ranks[wdst]
-	payload := data
-	src := c.rank
-	tg := c.wireTag(tag)
-	cl.Kernel().At(arrive, func() {
-		st.deliver(envelope{src: src, tag: tg, data: payload})
-	})
-	if len(data) > m.EagerLimit() {
-		if wait := txDone.Sub(c.proc.Now()); wait > 0 {
-			c.proc.Sleep(wait)
-		}
-	}
+	c.w.deliverAt(arrive, wdst, envelope{src: c.rank, tag: c.wireTag(tag), data: data})
+	return txDone
 }
 
 // Recv blocks until a message matching (src, tag) — either may be a
@@ -139,23 +160,29 @@ func (c *Comm) RecvFrom(src, tag int) (data []byte, from int) {
 
 func (c *Comm) recvEnvelope(src, tag int) envelope {
 	cl := c.w.cluster
-	st := c.w.ranks[c.rank]
-	wsrc := src
-	if src != AnySource {
-		wsrc = c.worldRank(src)
-	}
-	wtag := tag
-	if tag != AnyTag {
-		wtag = c.wireTag(tag)
-	}
+	st := &c.w.ranks[c.rank]
+	wsrc, wtag := c.wireMatch(src, tag)
 	e, ok := st.take(wsrc, wtag)
 	if !ok {
-		req := &recvReq{src: wsrc, tag: wtag, done: sim.NewFuture[envelope](cl.Kernel(), "recv")}
-		st.posted = append(st.posted, req)
+		req := st.post(cl.Kernel(), wsrc, wtag, "recv")
 		e = req.done.Await(c.proc)
+		st.release(req)
 	}
 	c.proc.Sleep(cl.Jitter(cl.Machine().RecvCost(c.opClass)))
 	return e
+}
+
+// wireMatch translates a receive's (src, tag), either possibly a
+// wildcard, into the world rank and wire tag messages carry.
+func (c *Comm) wireMatch(src, tag int) (wsrc, wtag int) {
+	wsrc, wtag = src, tag
+	if src != AnySource {
+		wsrc = c.worldRank(src)
+	}
+	if tag != AnyTag {
+		wtag = c.wireTag(tag)
+	}
+	return wsrc, wtag
 }
 
 // Sendrecv exchanges messages with two peers (possibly the same):

@@ -16,8 +16,8 @@ func (c *Comm) Split(color, key int) *Comm {
 	// Exchange (color, key) with every member of the parent.
 	pairs := c.Allgather(EncodeInts([]int32{int32(color), int32(key)}))
 
-	*c.splitSeq++
-	seq := *c.splitSeq
+	c.sh.splitSeq++
+	seq := c.sh.splitSeq
 	if color < 0 {
 		return nil
 	}
@@ -47,14 +47,14 @@ func (c *Comm) Split(color, key int) *Comm {
 	}
 
 	child := &Comm{
-		w:        c.w,
-		rank:     c.rank,
-		proc:     c.proc,
-		opClass:  c.opClass,
-		group:    group,
-		myIdx:    myIdx,
-		ctx:      childContext(c.ctx, seq, color),
-		splitSeq: new(int),
+		w:       c.w,
+		rank:    c.rank,
+		proc:    c.proc,
+		opClass: c.opClass,
+		group:   group,
+		myIdx:   myIdx,
+		ctx:     childContext(c.ctx, seq, color),
+		sh:      new(commShared),
 	}
 	return child
 }

@@ -13,7 +13,8 @@ type Request struct {
 	isSend bool
 	// send completion
 	txDone sim.Time
-	// receive completion
+	// receive completion; recv goes back to its rank's pool once
+	// Wait has read it
 	recv *recvReq
 	env  envelope
 	done bool
@@ -23,42 +24,21 @@ type Request struct {
 // CPU overhead (posting the descriptor); the network transfer proceeds
 // in the background regardless of message size.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	cl := c.w.cluster
-	m := cl.Machine()
-	c.proc.Sleep(cl.Jitter(m.SendCost(c.opClass)))
-	txDone, arrive := cl.Net().TransferDetail(
-		c.rank, c.worldRank(dst), len(data), c.proc.Now(), m.InjMBs(c.opClass, len(data)))
-	st := c.w.ranks[c.worldRank(dst)]
-	payload := data
-	src := c.rank
-	tg := c.wireTag(tag)
-	cl.Kernel().At(arrive, func() {
-		st.deliver(envelope{src: src, tag: tg, data: payload})
-	})
-	return &Request{c: c, isSend: true, txDone: txDone}
+	return &Request{c: c, isSend: true, txDone: c.inject(dst, tag, data)}
 }
 
 // Irecv posts a nonblocking receive for a message matching (src, tag);
 // wildcards are allowed.
 func (c *Comm) Irecv(src, tag int) *Request {
-	st := c.w.ranks[c.rank]
-	wsrc := src
-	if src != AnySource {
-		wsrc = c.worldRank(src)
-	}
-	wtag := tag
-	if tag != AnyTag {
-		wtag = c.wireTag(tag)
-	}
+	st := &c.w.ranks[c.rank]
+	wsrc, wtag := c.wireMatch(src, tag)
 	r := &Request{c: c}
 	if e, ok := st.take(wsrc, wtag); ok {
 		r.env = e
 		r.done = true
 		return r
 	}
-	req := &recvReq{src: wsrc, tag: wtag, done: sim.NewFuture[envelope](c.w.cluster.Kernel(), "irecv")}
-	st.posted = append(st.posted, req)
-	r.recv = req
+	r.recv = st.post(c.w.cluster.Kernel(), wsrc, wtag, "irecv")
 	return r
 }
 
@@ -75,6 +55,8 @@ func (r *Request) Wait() []byte {
 	}
 	if !r.done {
 		r.env = r.recv.done.Await(c.proc)
+		c.w.ranks[c.rank].release(r.recv)
+		r.recv = nil
 		r.done = true
 	}
 	cl := c.w.cluster

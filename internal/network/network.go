@@ -46,6 +46,10 @@ type Network struct {
 	nicTx []sim.Time // per-node injection port occupancy
 	nicRx []sim.Time // per-node ejection port occupancy
 
+	// path is the route buffer TransferDetail appends each message's
+	// links into, reused so routing allocates nothing in steady state.
+	path []topology.LinkID
+
 	// Stats
 	transfers   uint64
 	bytesMoved  uint64
@@ -114,7 +118,8 @@ func (n *Network) TransferDetail(src, dst int, size int, ready sim.Time, injMBs 
 		done := ready.Add(sim.PerByte(int64(size), injMBs))
 		return done, done
 	}
-	path := n.topo.Route(src, dst)
+	n.path = n.topo.AppendRoute(n.path[:0], src, dst)
+	path := n.path
 	rate := injMBs
 	if n.p.LinkBandwidthMBs < rate {
 		rate = n.p.LinkBandwidthMBs

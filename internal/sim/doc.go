@@ -17,15 +17,26 @@
 // wakeup hands the token straight to that process's goroutine, so a
 // process switch costs a single channel synchronization and a process
 // whose own wakeup is the next event keeps running with no switch at
-// all. Events live by value in a slot-recycled 4-ary index heap, so
-// the steady state allocates nothing.
+// all. Events live by value in a slot-recycled 4-ary heap whose entries
+// carry their (time, seq) keys inline, so sifts never leave the heap
+// array and the steady state allocates nothing.
+//
+// An event is a process wakeup or a Handler, whose Fire method the
+// kernel calls at the event's time. Schedule stores a handler by value,
+// so a layer that recycles its handler objects (internal/mpi's message
+// deliveries) schedules without allocating; At adapts a plain func()
+// to the same interface. A parked process records what it waits for as
+// a kind and an object name, joined into text only by a deadlock
+// report.
 //
 // # Coordination primitives
 //
-// Future is a single-assignment value processes can wait on; Resource
-// is a counted semaphore with deterministic FIFO grants; Mailbox is a
-// typed rendezvous channel between processes. All are built on the
-// kernel's wakeup primitive and preserve determinism.
+// Future is a single-assignment value processes can wait on (its first
+// waiter is held inline, and Init re-arms a future embedded in a
+// recycled object); Resource is a counted semaphore with deterministic
+// FIFO grants; Mailbox is a typed rendezvous channel between processes.
+// All are built on the kernel's wakeup primitive and preserve
+// determinism.
 //
 // # Reuse
 //

@@ -3,19 +3,30 @@ package sim
 // Future is a one-shot completion carrying a value of type T. Processes
 // block on Await; any context (event callback or process) may Resolve it
 // exactly once. Multiple waiters are woken in FIFO order via zero-delay
-// events.
+// events. The first waiter is held inline, so the common single-waiter
+// future allocates nothing to wait on.
 type Future[T any] struct {
 	k        *Kernel
 	resolved bool
 	value    T
-	waiters  []*Proc
+	first    *Proc   // first waiter, if any
+	more     []*Proc // later waiters, in arrival order
 	name     string
 }
 
 // NewFuture returns an unresolved future on kernel k. The name is used
 // in deadlock reports.
 func NewFuture[T any](k *Kernel, name string) *Future[T] {
-	return &Future[T]{k: k, name: name}
+	f := new(Future[T])
+	f.Init(k, name)
+	return f
+}
+
+// Init makes f an unresolved future on kernel k, as NewFuture does, so a
+// future embedded by value in a recycled object can be reused once its
+// waiters have resumed.
+func (f *Future[T]) Init(k *Kernel, name string) {
+	*f = Future[T]{k: k, name: name, more: f.more[:0]}
 }
 
 // Resolved reports whether the future has been resolved.
@@ -32,18 +43,28 @@ func (f *Future[T]) Resolve(v T) {
 	}
 	f.resolved = true
 	f.value = v
-	for _, w := range f.waiters {
-		f.k.wake(w, 0)
+	if f.first == nil {
+		return
 	}
-	f.waiters = nil
+	f.k.wake(f.first, 0)
+	f.first = nil
+	for i, w := range f.more {
+		f.k.wake(w, 0)
+		f.more[i] = nil
+	}
+	f.more = f.more[:0]
 }
 
 // Await blocks p until the future resolves and returns its value. If the
 // future is already resolved it returns immediately without yielding.
 func (f *Future[T]) Await(p *Proc) T {
 	if !f.resolved {
-		f.waiters = append(f.waiters, p)
-		p.park("future " + f.name)
+		if f.first == nil {
+			f.first = p
+		} else {
+			f.more = append(f.more, p)
+		}
+		p.park("future", f.name)
 	}
 	return f.value
 }

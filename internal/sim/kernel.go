@@ -124,15 +124,21 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Events returns the number of events executed so far.
 func (k *Kernel) Events() uint64 { return k.executed }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is
-// an error in the model; it is clamped to the current time.
-func (k *Kernel) At(t Time, fn func()) {
+// Schedule arranges for h.Fire to run at absolute time t. Scheduling in
+// the past is an error in the model; it is clamped to the current time.
+// The handler is stored by value, so a recycled handler object costs no
+// allocation.
+func (k *Kernel) Schedule(t Time, h Handler) {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
-	k.events.push(event{at: t, seq: k.seq, fn: fn})
+	k.events.push(t, k.seq, event{h: h})
 }
+
+// At schedules fn to run at absolute time t, clamped to the current
+// time like Schedule.
+func (k *Kernel) At(t Time, fn func()) { k.Schedule(t, funcHandler(fn)) }
 
 // After schedules fn to run d after the current time. Negative d is
 // treated as zero.
@@ -152,7 +158,7 @@ func (k *Kernel) wake(p *Proc, d Duration) {
 	}
 	k.seq++
 	k.wakeups++
-	k.events.push(event{at: t, seq: k.seq, proc: p})
+	k.events.push(t, k.seq, event{proc: p})
 }
 
 // Run executes events until the queue is empty. It returns an error if a
@@ -205,8 +211,8 @@ func (k *Kernel) next() *Proc {
 		if k.events.len() == 0 || k.events.minTime() > k.deadline {
 			return nil
 		}
-		e := k.events.pop()
-		k.now = e.at
+		at, e := k.events.pop()
+		k.now = at
 		k.executed++
 		if e.proc != nil {
 			if e.proc.done {
@@ -214,7 +220,7 @@ func (k *Kernel) next() *Proc {
 			}
 			return e.proc
 		}
-		e.fn()
+		e.h.Fire()
 	}
 	return nil
 }
@@ -248,10 +254,14 @@ func (k *Kernel) parkedNames() string {
 			b.WriteString("…")
 			break
 		}
-		b.WriteString(p.name)
-		if p.waiting != "" {
+		b.WriteString(p.Name())
+		if p.waitKind != "" {
 			b.WriteString(" (waiting: ")
-			b.WriteString(p.waiting)
+			b.WriteString(p.waitKind)
+			if p.waitOn != "" {
+				b.WriteString(" ")
+				b.WriteString(p.waitOn)
+			}
 			b.WriteString(")")
 		}
 		i++

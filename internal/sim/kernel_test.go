@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -146,6 +149,110 @@ func TestDeadlockDetected(t *testing.T) {
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
+	}
+	// Parking records what it waits for in parts; the report joins them.
+	if want := "stuck (waiting: future never)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("deadlock report %q does not name %q", err, want)
+	}
+}
+
+func TestDeadlockReportNamesAnonymousProcs(t *testing.T) {
+	k := New(1)
+	r := NewResource(k, "cpu", 1)
+	k.Go("", func(p *Proc) { r.Acquire(p); NewSignal(k, "x").Await(p) })
+	k.Go("", func(p *Proc) { r.Acquire(p) })
+	err := k.Run()
+	if err == nil {
+		t.Fatal("expected deadlock error")
+	}
+	for _, want := range []string{"proc-1 (waiting: future x)", "proc-2 (waiting: resource cpu)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock report %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestFutureInitReuse resolves one future twice over, re-armed with
+// Init in between: both generations wake their waiters (the first held
+// inline, the rest queued) in arrival order.
+func TestFutureInitReuse(t *testing.T) {
+	k := New(1)
+	f := NewFuture[int](k, "f")
+	var got []int
+	for gen := 0; gen < 2; gen++ {
+		for i := 0; i < 3; i++ {
+			k.Go("", func(p *Proc) { got = append(got, 10*f.Await(p)+i) })
+		}
+		k.After(5, func() { f.Resolve(gen + 1) })
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		f.Init(k, "f")
+	}
+	if want := []int{10, 11, 12, 20, 21, 22}; !slices.Equal(got, want) {
+		t.Fatalf("woken in order %v, want %v", got, want)
+	}
+}
+
+// countHandler is a recycled Handler: scheduling it stores the pointer.
+type countHandler struct{ n int }
+
+func (h *countHandler) Fire() { h.n++ }
+
+// TestScheduleAllocatesNothing drives recycled handlers and a
+// preexisting callback through the kernel: neither the queue nor the
+// At adapter allocates once the queue has grown.
+func TestScheduleAllocatesNothing(t *testing.T) {
+	k := New(1)
+	h := &countHandler{}
+	fn := func() { h.n++ }
+	run := func() {
+		for i := 0; i < 64; i++ {
+			k.Schedule(k.Now().Add(Duration(i%7)), h)
+			k.At(k.Now().Add(Duration(i%5)), fn)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("%.1f allocations per 128 scheduled events, want 0", allocs)
+	}
+	if h.n != 21*128 {
+		t.Fatalf("fired %d events, want %d", h.n, 21*128)
+	}
+}
+
+// TestEventQueueOrder pushes events with many equal times in random
+// order, interleaved with pops, and checks that they come out sorted by
+// (time, sequence).
+func TestEventQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var q eventQueue
+	var seq uint64
+	lastAt, lastSeq := Time(-1), uint64(0)
+	popped := 0
+	pop := func() {
+		at, e := q.pop()
+		got := e.h.(*countHandler).n // the handler carries its seq
+		if at < lastAt || at == lastAt && uint64(got) <= lastSeq {
+			t.Fatalf("popped (%d, %d) after (%d, %d)", at, got, lastAt, lastSeq)
+		}
+		lastAt, lastSeq = at, uint64(got)
+		popped++
+	}
+	for i := 0; i < 5000; i++ {
+		seq++
+		q.push(lastAt+Time(1+rng.Intn(20)), seq, event{h: &countHandler{n: int(seq)}})
+		if rng.Intn(3) == 0 {
+			pop()
+		}
+	}
+	for q.len() > 0 {
+		pop()
+	}
+	if popped != 5000 {
+		t.Fatalf("popped %d events, want 5000", popped)
 	}
 }
 

@@ -9,11 +9,17 @@ import "fmt"
 // channels, so process code needs no locking and observes a consistent
 // virtual clock.
 type Proc struct {
-	k       *Kernel
-	name    string
-	resume  chan struct{}
-	done    bool
-	waiting string // human-readable blocking reason, for deadlock reports
+	k      *Kernel
+	name   string // "" for an anonymous process (see Name)
+	seq    int    // spawn order on the kernel, numbering anonymous processes
+	resume chan struct{}
+	done   bool
+
+	// waitKind and waitOn say what a parked process waits for ("future"
+	// and the future's name, or "sleep" and ""). They are kept apart so
+	// parking assigns two strings and builds none; the deadlock report
+	// joins them.
+	waitKind, waitOn string
 }
 
 // interruptPanic unwinds a process goroutine when its kernel's drive
@@ -24,19 +30,17 @@ type interruptPanic struct{}
 
 // Go spawns a process executing fn. The process starts at the current
 // simulated time (via a zero-delay event). If fn panics, the panic is
-// captured and surfaced as an error from Kernel.Run.
+// captured and surfaced as an error from Kernel.Run. An empty name
+// reads as "proc-N", N counting the kernel's spawns from 1.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.procSeq++
-	if name == "" {
-		name = fmt.Sprintf("proc-%d", k.procSeq)
-	}
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name, seq: k.procSeq, resume: make(chan struct{})}
 	k.procs[p] = struct{}{}
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, interrupted := r.(interruptPanic); !interrupted && k.failure == nil {
-					k.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+					k.failure = fmt.Errorf("sim: process %q panicked: %v", p.Name(), r)
 				}
 			}
 			p.done = true
@@ -59,15 +63,16 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // park hands the execution token onward and blocks until this process's
-// own wakeup event is reached. Must be called from within the process
+// own wakeup event is reached. kind and on record what the process waits
+// for, for deadlock reports. Must be called from within the process
 // itself, with a wakeup for it either already queued or arranged to be
 // scheduled by another process (Future.Resolve, Resource.Release).
 //
 // Fast path: if the next runnable event is this process's own wakeup,
 // park drains the intervening callback events inline and returns
 // without any goroutine switch.
-func (p *Proc) park(reason string) {
-	p.waiting = reason
+func (p *Proc) park(kind, on string) {
+	p.waitKind, p.waitOn = kind, on
 	k := p.k
 	switch next := k.next(); next {
 	case p:
@@ -79,7 +84,7 @@ func (p *Proc) park(reason string) {
 		next.resume <- struct{}{} // direct switch to the next process
 		<-p.resume
 	}
-	p.waiting = ""
+	p.waitKind, p.waitOn = "", ""
 	// A canceled drive resumes parked processes only so they can exit;
 	// unwind instead of returning to simulated work.
 	if k.canceling {
@@ -88,7 +93,12 @@ func (p *Proc) park(reason string) {
 }
 
 // Name returns the process name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.name == "" {
+		return fmt.Sprintf("proc-%d", p.seq)
+	}
+	return p.name
+}
 
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -104,7 +114,7 @@ func (p *Proc) Now() Time { return p.k.now }
 // its own goroutine.
 func (p *Proc) Sleep(d Duration) {
 	p.k.wake(p, d)
-	p.park("sleep")
+	p.park("sleep", "")
 }
 
 // Yield reschedules the process at the current time behind any already

@@ -31,7 +31,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	r.waiters = append(r.waiters, p)
-	p.park("resource " + r.name)
+	p.park("resource", r.name)
 	// Woken by Release, which transferred the unit to us already.
 }
 

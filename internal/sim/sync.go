@@ -72,7 +72,7 @@ func (m *Mailbox[T]) Put(v T) {
 func (m *Mailbox[T]) Get(p *Proc) T {
 	for len(m.items) == 0 {
 		m.recvq = append(m.recvq, p)
-		p.park("mailbox " + m.name)
+		p.park("mailbox", m.name)
 	}
 	v := m.items[0]
 	m.items = m.items[:copy(m.items, m.items[1:])]

@@ -27,14 +27,14 @@ func (c *Crossbar) Nodes() int { return c.n }
 // Links implements Topology: n injection links then n ejection links.
 func (c *Crossbar) Links() int { return 2 * c.n }
 
-// Route implements Topology.
-func (c *Crossbar) Route(src, dst int) []LinkID {
+// AppendRoute implements Topology.
+func (c *Crossbar) AppendRoute(path []LinkID, src, dst int) []LinkID {
 	checkNode(c, src)
 	checkNode(c, dst)
 	if src == dst {
-		return nil
+		return path
 	}
-	return []LinkID{LinkID(src), LinkID(c.n + dst)}
+	return append(path, LinkID(src), LinkID(c.n+dst))
 }
 
 // Diameter implements Topology.

@@ -24,7 +24,7 @@ func AllPairsLoad(t Topology) LoadProfile {
 			if s == d {
 				continue
 			}
-			for _, l := range t.Route(s, d) {
+			for _, l := range t.AppendRoute(nil, s, d) {
 				loads[l]++
 			}
 		}

@@ -64,16 +64,15 @@ func (m *Mesh2D) NodeAt(x, y int) int { return x + m.nx*y }
 
 func (m *Mesh2D) linkID(node, dir int) LinkID { return LinkID(node*numMeshDirs + dir) }
 
-// Route implements Topology using XY dimension-order routing.
-func (m *Mesh2D) Route(src, dst int) []LinkID {
+// AppendRoute implements Topology using XY dimension-order routing.
+func (m *Mesh2D) AppendRoute(path []LinkID, src, dst int) []LinkID {
 	checkNode(m, src)
 	checkNode(m, dst)
 	if src == dst {
-		return nil
+		return path
 	}
 	x, y := m.Coord(src)
 	gx, gy := m.Coord(dst)
-	var path []LinkID
 	for x != gx {
 		node := m.NodeAt(x, y)
 		if gx > x {

@@ -79,19 +79,16 @@ func (o *Omega) Radix() int { return o.radix }
 // of the stages (the final stage's outputs are the ejection links).
 func (o *Omega) Links() int { return o.n * (o.stages + 1) }
 
-// Route implements Topology using destination-digit routing: after the
-// perfect shuffle of stage s, the switch forwards on the output selected
-// by the s-th most significant radix-k digit of the destination.
-func (o *Omega) Route(src, dst int) []LinkID {
+// AppendRoute implements Topology using destination-digit routing:
+// after the perfect shuffle of stage s, the switch forwards on the
+// output selected by the s-th most significant radix-k digit of the
+// destination.
+func (o *Omega) AppendRoute(path []LinkID, src, dst int) []LinkID {
 	checkNode(o, src)
 	checkNode(o, dst)
-	if src == dst {
-		return nil
+	if src == dst || o.stages == 0 {
+		return path
 	}
-	if o.stages == 0 {
-		return nil
-	}
-	path := make([]LinkID, 0, o.stages+1)
 	pos := src
 	path = append(path, LinkID(pos)) // injection link
 	for s := 0; s < o.stages; s++ {

@@ -24,9 +24,12 @@ type Topology interface {
 	// 0..Links()-1. Link IDs cover both network-internal links and, for
 	// indirect networks, node-to-switch attachment links.
 	Links() int
-	// Route returns the ordered link IDs traversed by a message from
-	// src to dst. Route(x, x) is an empty path (intra-node transfer).
-	Route(src, dst int) []LinkID
+	// AppendRoute appends the ordered link IDs traversed by a message
+	// from src to dst to path and returns the extended slice, leaving
+	// path's existing elements as they are. The route from a node to
+	// itself is empty (intra-node transfer). Passing a reused buffer
+	// (path[:0]) routes without allocating once it has grown.
+	AppendRoute(path []LinkID, src, dst int) []LinkID
 	// Diameter returns the maximum hop count between any node pair.
 	Diameter() int
 }
@@ -38,7 +41,7 @@ func checkNode(t Topology, n int) {
 }
 
 // Hops returns the number of links on the route from src to dst.
-func Hops(t Topology, src, dst int) int { return len(t.Route(src, dst)) }
+func Hops(t Topology, src, dst int) int { return len(t.AppendRoute(nil, src, dst)) }
 
 // AverageDistance returns the mean hop count over all ordered pairs of
 // distinct nodes. It is used in calibration and reporting.

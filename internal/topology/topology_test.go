@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,6 +11,49 @@ import (
 // validate structural invariants instead: paths are loop-free in link
 // IDs, within diameter, and terminate correctly by construction of the
 // routing functions, which we cross-check with coordinate arithmetic.
+
+// dirty is the prefix route() leaves in the buffer it appends into.
+var dirty = []LinkID{-1, 7, -3}
+
+// route returns the route from src to dst through the append form,
+// appended to a buffer already holding dirty, and fails the test if the
+// prefix does not survive. Every route test goes through it, so each
+// checks the append form against a non-empty buffer too.
+func route(tb testing.TB, tp Topology, src, dst int) []LinkID {
+	tb.Helper()
+	buf := append(make([]LinkID, 0, len(dirty)+1), dirty...)
+	out := tp.AppendRoute(buf, src, dst)
+	if !slices.Equal(out[:len(dirty)], dirty) {
+		tb.Fatalf("%s: route(%d,%d) overwrote the buffer prefix: %v", tp.Name(), src, dst, out[:len(dirty)])
+	}
+	return out[len(dirty):]
+}
+
+// TestAppendRouteKeepsPrefix routes every ordered pair of every
+// topology family at every node count from 2 to 64, appending to a
+// reused, dirty buffer: the prefix must survive and the appended links
+// must equal a fresh route's.
+func TestAppendRouteKeepsPrefix(t *testing.T) {
+	var buf []LinkID
+	for n := 2; n <= 64; n++ {
+		for _, tp := range []Topology{TorusForNodes(n), MeshForNodes(n), OmegaForNodes(n), NewCrossbar(n)} {
+			for s := 0; s < tp.Nodes(); s++ {
+				for d := 0; d < tp.Nodes(); d++ {
+					fresh := tp.AppendRoute(nil, s, d)
+					buf = append(buf[:0], dirty...)
+					buf = append(buf, LinkID(s), LinkID(d)) // garbage from a previous use
+					buf = tp.AppendRoute(buf[:len(dirty)], s, d)
+					if !slices.Equal(buf[:len(dirty)], dirty) {
+						t.Fatalf("%s: route(%d,%d) overwrote the prefix: %v", tp.Name(), s, d, buf[:len(dirty)])
+					}
+					if got := buf[len(dirty):]; !slices.Equal(got, fresh) {
+						t.Fatalf("%s: route(%d,%d) appended %v, fresh route %v", tp.Name(), s, d, got, fresh)
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestTorusCoordRoundTrip(t *testing.T) {
 	to := NewTorus3D(4, 2, 8)
@@ -57,7 +101,7 @@ func TestTorusRouteWithinDiameter(t *testing.T) {
 func TestTorusSelfRouteEmpty(t *testing.T) {
 	to := NewTorus3D(4, 4, 4)
 	for id := 0; id < to.Nodes(); id++ {
-		if len(to.Route(id, id)) != 0 {
+		if len(route(t, to, id, id)) != 0 {
 			t.Fatalf("self route of %d not empty", id)
 		}
 	}
@@ -91,7 +135,7 @@ func TestTorusLinkIDsInRange(t *testing.T) {
 	to := NewTorus3D(4, 4, 4)
 	prop := func(s, d uint8) bool {
 		src, dst := int(s)%to.Nodes(), int(d)%to.Nodes()
-		for _, l := range to.Route(src, dst) {
+		for _, l := range route(t, to, src, dst) {
 			if int(l) < 0 || int(l) >= to.Links() {
 				return false
 			}
@@ -108,7 +152,7 @@ func TestTorusRouteNoRepeatedLinks(t *testing.T) {
 	prop := func(s, d uint8) bool {
 		src, dst := int(s)%to.Nodes(), int(d)%to.Nodes()
 		seen := map[LinkID]bool{}
-		for _, l := range to.Route(src, dst) {
+		for _, l := range route(t, to, src, dst) {
 			if seen[l] {
 				return false
 			}
@@ -155,7 +199,7 @@ func TestMeshXYOrdering(t *testing.T) {
 	// XY routing corrects X completely before Y: from (0,0) to (2,2) the
 	// first two links must be +X links of nodes (0,0) and (1,0).
 	m := NewMesh2D(4, 4)
-	path := m.Route(m.NodeAt(0, 0), m.NodeAt(2, 2))
+	path := route(t, m, m.NodeAt(0, 0), m.NodeAt(2, 2))
 	if len(path) != 4 {
 		t.Fatalf("path length = %d, want 4", len(path))
 	}
@@ -203,7 +247,7 @@ func TestOmegaRoutesDistinctDestinationsDisjointFinalLink(t *testing.T) {
 			if dst == src {
 				continue
 			}
-			p := o.Route(src, dst)
+			p := route(t, o, src, dst)
 			l := p[len(p)-1]
 			if prev, dup := last[l]; dup {
 				t.Fatalf("destinations %d and %d share final link %d", prev, dst, l)
@@ -222,7 +266,7 @@ func TestOmegaPermutationRoutingIdentity(t *testing.T) {
 	used := map[LinkID]int{}
 	for i := 0; i < o.Nodes(); i++ {
 		d := (i + o.Nodes()/2) % o.Nodes()
-		for _, l := range o.Route(i, d) {
+		for _, l := range route(t, o, i, d) {
 			used[l]++
 		}
 	}
@@ -265,7 +309,7 @@ func TestCrossbarDisjointRoutes(t *testing.T) {
 	used := map[LinkID]bool{}
 	// A permutation: every route must be link-disjoint.
 	for i := 0; i < 16; i++ {
-		for _, l := range c.Route(i, (i+5)%16) {
+		for _, l := range route(t, c, i, (i+5)%16) {
 			if used[l] {
 				t.Fatal("crossbar routes collide under permutation traffic")
 			}
@@ -296,7 +340,7 @@ func TestOutOfRangePanics(t *testing.T) {
 					t.Errorf("%s: expected panic on out-of-range node", tp.Name())
 				}
 			}()
-			tp.Route(0, tp.Nodes())
+			tp.AppendRoute(nil, 0, tp.Nodes())
 		}()
 	}
 }
@@ -307,7 +351,7 @@ func TestLinksCountConsistent(t *testing.T) {
 		maxID := -1
 		for s := 0; s < tp.Nodes(); s++ {
 			for d := 0; d < tp.Nodes(); d++ {
-				for _, l := range tp.Route(s, d) {
+				for _, l := range route(t, tp, s, d) {
 					if int(l) > maxID {
 						maxID = int(l)
 					}

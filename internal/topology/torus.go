@@ -82,17 +82,17 @@ func ringStep(c, g, n int) (next int, forward bool) {
 	return (c - 1 + n) % n, false
 }
 
-// Route implements Topology using dimension-order routing: the message
-// fully corrects X, then Y, then Z, each along the shorter ring arc.
-func (t *Torus3D) Route(src, dst int) []LinkID {
+// AppendRoute implements Topology using dimension-order routing: the
+// message fully corrects X, then Y, then Z, each along the shorter ring
+// arc.
+func (t *Torus3D) AppendRoute(path []LinkID, src, dst int) []LinkID {
 	checkNode(t, src)
 	checkNode(t, dst)
 	if src == dst {
-		return nil
+		return path
 	}
 	x, y, z := t.Coord(src)
 	gx, gy, gz := t.Coord(dst)
-	var path []LinkID
 	for x != gx {
 		node := t.NodeAt(x, y, z)
 		nx, fwd := ringStep(x, gx, t.nx)
