@@ -43,8 +43,8 @@ func NewCluster(m *Machine, p int, seed int64) *Cluster {
 		}
 	}
 	if m.HardwareBarrier() {
-		c.hw = &hwBarrier{c: c, n: p}
-		c.hw.sig = sim.NewSignal(k, "hw-barrier")
+		c.hw = &hwBarrier{k: k, n: p, cost: m.BarrierHardwareCost(p)}
+		c.hw.reset()
 	}
 	return c
 }
@@ -69,8 +69,7 @@ func (c *Cluster) Reset(seed int64) {
 		}
 	}
 	if c.hw != nil {
-		c.hw.cnt = 0
-		c.hw.sig = sim.NewSignal(c.k, "hw-barrier")
+		c.hw.reset()
 	}
 }
 
@@ -97,7 +96,7 @@ func (c *Cluster) LocalClock(rank int) sim.Time {
 // Jitter returns a software overhead d inflated by this run's OS noise
 // model: a uniform random fraction in [0, JitterFrac).
 func (c *Cluster) Jitter(d sim.Duration) sim.Duration {
-	f := c.mach.Params().JitterFrac
+	f := c.mach.p.JitterFrac
 	if f <= 0 || d <= 0 {
 		return d
 	}
@@ -116,24 +115,36 @@ func (c *Cluster) HardwareBarrierEnter(proc *sim.Proc) {
 
 // hwBarrier models the T3D's dedicated AND-tree barrier network: a
 // single-wire reduction whose completion time is independent of the data
-// network and nearly independent of machine size.
+// network and nearly independent of machine size. Two signals alternate
+// between generations, re-armed in place: the next generation cannot
+// complete before the previous one is released, so at most one release
+// is pending, and the barrier itself is the handler that fires it.
 type hwBarrier struct {
-	c   *Cluster
-	n   int
-	cnt int
-	sig *sim.Signal
+	k    *sim.Kernel
+	n    int
+	cnt  int
+	cost sim.Duration
+	sigs [2]sim.Signal
+	cur  int // index of the signal the current generation awaits
+}
+
+func (b *hwBarrier) reset() {
+	b.cnt, b.cur = 0, 0
+	b.sigs[0].Init(b.k, "hw-barrier")
 }
 
 func (b *hwBarrier) enter(proc *sim.Proc) {
 	b.cnt++
-	sig := b.sig
+	sig := &b.sigs[b.cur]
 	if b.cnt == b.n {
 		// Last arrival: the AND-tree fires after the propagation cost.
 		b.cnt = 0
-		b.sig = sim.NewSignal(b.c.k, "hw-barrier")
-		cost := b.c.mach.BarrierHardwareCost(b.n)
-		done := sig
-		b.c.k.After(cost, func() { done.Resolve(struct{}{}) })
+		b.cur ^= 1
+		b.sigs[b.cur].Init(b.k, "hw-barrier")
+		b.k.Schedule(b.k.Now().Add(b.cost), b)
 	}
 	sig.Await(proc)
 }
+
+// Fire implements sim.Handler: it releases the completed generation.
+func (b *hwBarrier) Fire() { b.sigs[b.cur^1].Resolve(struct{}{}) }

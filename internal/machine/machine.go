@@ -125,9 +125,58 @@ type Params struct {
 	Tunings map[Op]Tuning
 }
 
-// Machine is an immutable machine description.
+// Machine is an immutable machine description. Each operation's
+// software costs are resolved from Params once, at New, so the message
+// path reads a Costs table instead of looking its operation up.
 type Machine struct {
-	p Params
+	p     Params
+	costs map[Op]*Costs
+	other *Costs // operations without a Tuning entry
+}
+
+// Costs is the resolved software cost table of one operation's code
+// path: every Tuning field with its machine-wide fallback applied.
+type Costs struct {
+	Send, Recv sim.Duration // CPU time per message at the sender, receiver
+	Call       sim.Duration // fixed setup cost per collective call
+	// CombinePerByte is the arithmetic cost of the reduction step.
+	CombinePerByte sim.Duration
+	inj, bigInj    float64 // injection rates below and from bigThreshold
+	bigThreshold   int     // 0: no large-message switch
+}
+
+func resolve(p *Params, t Tuning) *Costs {
+	c := &Costs{
+		Send: p.SendOverhead, Recv: p.RecvOverhead, Call: t.CallOverhead,
+		CombinePerByte: t.CombinePerByte, inj: p.Net.InjectionMBs,
+	}
+	if t.SendOverhead != 0 {
+		c.Send = t.SendOverhead
+	}
+	if t.RecvOverhead != 0 {
+		c.Recv = t.RecvOverhead
+	}
+	if t.InjMBs != 0 {
+		c.inj = t.InjMBs
+	}
+	if t.BigInjMBs != 0 && t.BigThreshold > 0 {
+		c.bigInj, c.bigThreshold = t.BigInjMBs, t.BigThreshold
+	}
+	return c
+}
+
+// InjMBs returns the effective injection bandwidth for a message of size
+// bytes on this code path.
+func (c *Costs) InjMBs(size int) float64 {
+	if c.bigThreshold > 0 && size >= c.bigThreshold {
+		return c.bigInj
+	}
+	return c.inj
+}
+
+// Combine returns the arithmetic combine time for size bytes.
+func (c *Costs) Combine(size int) sim.Duration {
+	return sim.Duration(int64(c.CombinePerByte) * int64(size))
 }
 
 // New validates params and returns a machine.
@@ -138,7 +187,12 @@ func New(p Params) *Machine {
 	if p.Tunings == nil {
 		p.Tunings = map[Op]Tuning{}
 	}
-	return &Machine{p: p}
+	m := &Machine{p: p, costs: make(map[Op]*Costs, len(p.Tunings))}
+	for op, t := range p.Tunings {
+		m.costs[op] = resolve(&p, t)
+	}
+	m.other = resolve(&p, Tuning{})
+	return m
 }
 
 // Name returns the machine name ("SP2", "T3D", "Paragon").
@@ -159,46 +213,15 @@ func (m *Machine) BarrierHardwareCost(p int) sim.Duration {
 	return m.p.BarrierBase + sim.Duration(float64(m.p.BarrierPerLog)*math.Log2(float64(p)))
 }
 
-func (m *Machine) tuning(op Op) Tuning { return m.p.Tunings[op] }
-
-// SendCost returns the sender CPU time for one message of op class op.
-func (m *Machine) SendCost(op Op) sim.Duration {
-	if t := m.tuning(op); t.SendOverhead != 0 {
-		return t.SendOverhead
+// Costs returns op's resolved cost table; an operation without a
+// Tuning entry gets the machine-wide defaults. The table is shared and
+// must not be modified.
+func (m *Machine) Costs(op Op) *Costs {
+	if c, ok := m.costs[op]; ok {
+		return c
 	}
-	return m.p.SendOverhead
+	return m.other
 }
-
-// RecvCost returns the receiver CPU time for one message.
-func (m *Machine) RecvCost(op Op) sim.Duration {
-	if t := m.tuning(op); t.RecvOverhead != 0 {
-		return t.RecvOverhead
-	}
-	return m.p.RecvOverhead
-}
-
-// InjMBs returns the effective injection bandwidth for a message of size
-// bytes on op's code path.
-func (m *Machine) InjMBs(op Op, size int) float64 {
-	t := m.tuning(op)
-	mbs := t.InjMBs
-	if mbs == 0 {
-		mbs = m.p.Net.InjectionMBs
-	}
-	if t.BigInjMBs != 0 && t.BigThreshold > 0 && size >= t.BigThreshold {
-		mbs = t.BigInjMBs
-	}
-	return mbs
-}
-
-// CombineCost returns the arithmetic combine time for size bytes.
-func (m *Machine) CombineCost(op Op, size int) sim.Duration {
-	t := m.tuning(op)
-	return sim.Duration(int64(t.CombinePerByte) * int64(size))
-}
-
-// CallCost returns the fixed per-call setup cost of a collective.
-func (m *Machine) CallCost(op Op) sim.Duration { return m.tuning(op).CallOverhead }
 
 // EagerLimit returns the largest message size sent without rendezvous
 // flow control.

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -15,7 +17,7 @@ func TestPresetsBasics(t *testing.T) {
 		if m.MaxNodes() < 64 {
 			t.Fatalf("%s: max nodes %d", m.Name(), m.MaxNodes())
 		}
-		if m.SendCost(OpP2P) <= 0 || m.RecvCost(OpP2P) <= 0 {
+		if c := m.Costs(OpP2P); c.Send <= 0 || c.Recv <= 0 {
 			t.Fatalf("%s: nonpositive default overheads", m.Name())
 		}
 	}
@@ -85,23 +87,23 @@ func TestT3DBarrierCostNearThreeMicroseconds(t *testing.T) {
 func TestTuningFallbacks(t *testing.T) {
 	m := SP2()
 	// Allgather has no tuning entry: falls back to defaults.
-	if m.SendCost(OpAllgather) != m.SendCost(OpP2P) {
+	if m.Costs(OpAllgather).Send != m.Costs(OpP2P).Send {
 		t.Error("allgather send cost should fall back to default")
 	}
 	// Gather overrides the recv cost.
-	if m.RecvCost(OpGather) == m.RecvCost(OpP2P) {
+	if m.Costs(OpGather).Recv == m.Costs(OpP2P).Recv {
 		t.Error("gather recv override not applied")
 	}
 	// Unknown op: full defaults.
-	if m.InjMBs(Op("mystery"), 100) != m.Params().Net.InjectionMBs {
+	if m.Costs(Op("mystery")).InjMBs(100) != m.Params().Net.InjectionMBs {
 		t.Error("unknown op should use default injection rate")
 	}
 }
 
 func TestBLTThresholdSwitchesBandwidth(t *testing.T) {
 	m := T3D()
-	small := m.InjMBs(OpGather, 1024)
-	big := m.InjMBs(OpGather, 65536)
+	small := m.Costs(OpGather).InjMBs(1024)
+	big := m.Costs(OpGather).InjMBs(65536)
 	if big <= small {
 		t.Fatalf("BLT should raise bulk bandwidth: small=%v big=%v", small, big)
 	}
@@ -110,13 +112,66 @@ func TestBLTThresholdSwitchesBandwidth(t *testing.T) {
 	}
 }
 
+// TestResolvedCostsMatchTunings checks every preset's resolved cost
+// tables against the Tuning fallback rules applied to Params directly:
+// each operation, extension operations without a Tuning entry, and an
+// unknown operation, with injection rates read on both sides of every
+// large-message threshold.
+func TestResolvedCostsMatchTunings(t *testing.T) {
+	ops := append([]Op{OpP2P, OpAllgather, OpAllreduce, Op("mystery")}, Ops...)
+	for _, m := range All() {
+		prm := m.Params()
+		for _, op := range ops {
+			tu := prm.Tunings[op]
+			or := func(v, def sim.Duration) sim.Duration {
+				if v != 0 {
+					return v
+				}
+				return def
+			}
+			c := m.Costs(op)
+			if c.Send != or(tu.SendOverhead, prm.SendOverhead) || c.Recv != or(tu.RecvOverhead, prm.RecvOverhead) ||
+				c.Call != tu.CallOverhead || c.CombinePerByte != tu.CombinePerByte {
+				t.Errorf("%s %s: resolved %+v from tuning %+v", m.Name(), op, *c, tu)
+			}
+			if c != m.Costs(op) {
+				t.Errorf("%s %s: Costs resolves a new table per call", m.Name(), op)
+			}
+			sizes := []int{0, 1, 4096, 1 << 20}
+			if tu.BigThreshold > 0 {
+				sizes = append(sizes, tu.BigThreshold-1, tu.BigThreshold, tu.BigThreshold+1)
+			}
+			for _, size := range sizes {
+				want := tu.InjMBs
+				if want == 0 {
+					want = prm.Net.InjectionMBs
+				}
+				if tu.BigInjMBs != 0 && tu.BigThreshold > 0 && size >= tu.BigThreshold {
+					want = tu.BigInjMBs
+				}
+				if got := c.InjMBs(size); got != want {
+					t.Errorf("%s %s size %d: injection %v MB/s, want %v", m.Name(), op, size, got, want)
+				}
+			}
+			if got, want := c.Combine(1000), sim.Duration(int64(tu.CombinePerByte)*1000); got != want {
+				t.Errorf("%s %s: combine 1000 B = %v, want %v", m.Name(), op, got, want)
+			}
+		}
+	}
+	// The T3D's block-transfer switch is the one threshold the presets
+	// carry; make sure the loop above crossed it.
+	if T3D().Params().Tunings[OpGather].BigThreshold == 0 {
+		t.Fatal("no preset exercises the large-message switch")
+	}
+}
+
 func TestCombineCostScalesWithSize(t *testing.T) {
 	m := Paragon()
-	if m.CombineCost(OpReduce, 0) != 0 {
+	if m.Costs(OpReduce).Combine(0) != 0 {
 		t.Error("zero-byte combine should be free")
 	}
-	c1 := m.CombineCost(OpReduce, 1000)
-	c2 := m.CombineCost(OpReduce, 2000)
+	c1 := m.Costs(OpReduce).Combine(1000)
+	c2 := m.Costs(OpReduce).Combine(2000)
 	if c2 != 2*c1 || c1 <= 0 {
 		t.Errorf("combine cost not linear: %v, %v", c1, c2)
 	}
@@ -220,6 +275,61 @@ func TestHardwareBarrierReusable(t *testing.T) {
 	}
 	if count != 12 {
 		t.Fatalf("count = %d, want 12", count)
+	}
+}
+
+// TestSharedMachineConcurrentClusters drives clusters of one T3D from
+// several goroutines at once, as sweep workers do, so -race sees the
+// shared cost tables read concurrently. In each, eight ranks arrive
+// staggered at five hardware-barrier generations, then again after a
+// Reset; every rank must leave each generation exactly one barrier cost
+// after its last arrival.
+func TestSharedMachineConcurrentClusters(t *testing.T) {
+	const p, gens = 8, 5
+	m := T3D()
+	cost := m.BarrierHardwareCost(p)
+	errs := make(chan error, 4*2*gens*p)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewCluster(m, p, int64(g))
+			for run := 0; run < 2; run++ {
+				if run > 0 {
+					c.Reset(int64(g))
+				}
+				var last [gens]sim.Time
+				var left [gens][]sim.Time
+				for r := 0; r < p; r++ {
+					c.Kernel().Go("", func(proc *sim.Proc) {
+						for i := range gens {
+							proc.Sleep(c.Jitter(m.Costs(OpBarrier).Send) * sim.Duration(r+1))
+							last[i] = max(last[i], proc.Now())
+							c.HardwareBarrierEnter(proc)
+							left[i] = append(left[i], proc.Now())
+						}
+					})
+				}
+				if err := c.Kernel().Run(); err != nil {
+					errs <- err
+					return
+				}
+				for i := range gens {
+					for _, at := range left[i] {
+						if want := last[i].Add(cost); at != want || len(left[i]) != p {
+							errs <- fmt.Errorf("cluster %d run %d generation %d: %d ranks left at %v, want %d at %v",
+								g, run, i, len(left[i]), at, p, want)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -103,7 +103,8 @@ func MeasureOpCtx(ctx context.Context, mach *machine.Machine, op machine.Op, p, 
 	if ctx.Done() != nil {
 		cl.Kernel().SetInterrupt(ctx.Err)
 	}
-	locals := make([]sim.Duration, p)
+	prog := newProgram(op, p, msgLen, cfg)
+	opt := mpi.RunOptions{Algorithms: algs, OpaquePayloads: true}
 	reps := make([]float64, 0, cfg.Reps)
 	var minSum, meanSum float64
 	for rep := 0; rep < cfg.Reps; rep++ {
@@ -113,7 +114,7 @@ func MeasureOpCtx(ctx context.Context, mach *machine.Machine, op machine.Op, p, 
 			}
 			cl.Reset(cfg.Seed + int64(rep))
 		}
-		r, err := runOnce(cl, op, msgLen, cfg, algs, locals)
+		r, err := prog.runOnce(cl, opt)
 		if err != nil {
 			return Sample{}, err
 		}
@@ -129,90 +130,109 @@ func MeasureOpCtx(ctx context.Context, mach *machine.Machine, op machine.Op, p, 
 	}, nil
 }
 
-// runOnce executes one benchmark program on cl and returns the per-rank
+// program is one measurement's benchmark program, built once and run
+// by every rank of every execution. Its buffers come from the shared
+// zero arena (the run is opaque-payload) and are only read, so the
+// ranks share them and an execution allocates no payload or closure.
+type program struct {
+	op     machine.Op
+	cfg    Config
+	msg    []byte         // one rank's message of the paper's m bytes
+	blocks [][]byte       // p such messages, for scatter and all-to-all
+	locals []sim.Duration // each rank's mean time per timed iteration
+	body   func(c *mpi.Comm)
+}
+
+func newProgram(op machine.Op, p, msgLen int, cfg Config) *program {
+	switch op {
+	case machine.OpBarrier, machine.OpBroadcast, machine.OpGather, machine.OpScatter, machine.OpAlltoall,
+		machine.OpReduce, machine.OpScan, machine.OpAllgather, machine.OpAllreduce:
+	default:
+		panic("measure: unknown operation " + string(op))
+	}
+	pr := &program{op: op, cfg: cfg, msg: coll.ZeroBytes(msgLen), locals: make([]sim.Duration, p)}
+	if op == machine.OpScatter || op == machine.OpAlltoall {
+		pr.blocks = make([][]byte, p)
+		for i := range pr.blocks {
+			pr.blocks[i] = pr.msg
+		}
+	}
+	pr.body = pr.rank
+	return pr
+}
+
+// runOnce executes the program once on cl and returns the per-rank
 // summary (the paper's min/max/mean over all processes) in µs. An
 // interrupted drive returns the cancellation cause; any other failure
 // (rank panic, deadlock) is a bug in the model and still panics.
-func runOnce(cl *machine.Cluster, op machine.Op, msgLen int, cfg Config, algs mpi.Algorithms, locals []sim.Duration) (stats.Summary, error) {
-	err := mpi.RunWith(cl, mpi.RunOptions{Algorithms: algs, OpaquePayloads: true}, func(c *mpi.Comm) {
-		body := opBody(c, op, msgLen)
-		for w := 0; w < cfg.Warmup; w++ {
-			body()
-		}
-		c.Barrier()
-		start := c.Wtime()
-		for i := 0; i < cfg.K; i++ {
-			body()
-		}
-		end := c.Wtime()
-		locals[c.Rank()] = end.Sub(start) / sim.Duration(cfg.K)
-	})
+func (pr *program) runOnce(cl *machine.Cluster, opt mpi.RunOptions) (stats.Summary, error) {
+	err := mpi.RunWith(cl, opt, pr.body)
 	if errors.Is(err, sim.ErrInterrupted) {
 		return stats.Summary{}, err
 	}
 	if err != nil {
 		panic(fmt.Sprintf("measure: %s %s p=%d m=%d: %v",
-			cl.Machine().Name(), op, cl.Size(), msgLen, err))
+			cl.Machine().Name(), pr.op, cl.Size(), len(pr.msg), err))
 	}
 	// communication-time = maximum-reduce(local-time). Collected
 	// host-side so the measurement itself does not perturb timing; the
 	// paper's in-band MPI_Reduce(MPI_MAX) is timing-equivalent because
 	// it happens after end-time is read.
-	micros := make([]float64, len(locals))
-	for i, v := range locals {
+	micros := make([]float64, len(pr.locals))
+	for i, v := range pr.locals {
 		micros[i] = v.Micros()
 	}
 	return stats.Summarize(micros), nil
 }
 
-// opBody returns a closure executing one instance of the collective with
-// the per-pair message length the paper's m denotes. Buffers come from
-// the shared zero arena (the run is opaque-payload), so a body costs no
-// per-rank payload allocation.
-func opBody(c *mpi.Comm, op machine.Op, msgLen int) func() {
-	p := c.Size()
-	mkBlocks := func() [][]byte {
-		blocks := make([][]byte, p)
-		for i := range blocks {
-			blocks[i] = coll.ZeroBytes(msgLen)
-		}
-		return blocks
+// rank is one rank's §2 procedure: warm-up iterations, a barrier, then
+// K timed iterations read from the rank's own clock.
+func (pr *program) rank(c *mpi.Comm) {
+	for w := 0; w < pr.cfg.Warmup; w++ {
+		pr.once(c)
 	}
-	switch op {
+	c.Barrier()
+	start := c.Wtime()
+	for i := 0; i < pr.cfg.K; i++ {
+		pr.once(c)
+	}
+	end := c.Wtime()
+	pr.locals[c.Rank()] = end.Sub(start) / sim.Duration(pr.cfg.K)
+}
+
+// once executes one instance of the collective with the per-pair
+// message length the paper's m denotes. Only the root supplies a
+// broadcast's message and a scatter's blocks.
+func (pr *program) once(c *mpi.Comm) {
+	root := c.Rank() == 0
+	switch pr.op {
 	case machine.OpBarrier:
-		return func() { c.Barrier() }
+		c.Barrier()
 	case machine.OpBroadcast:
 		var msg []byte
-		if c.Rank() == 0 {
-			msg = coll.ZeroBytes(msgLen)
+		if root {
+			msg = pr.msg
 		}
-		return func() { c.Bcast(0, msg) }
+		c.Bcast(0, msg)
 	case machine.OpGather:
-		mine := coll.ZeroBytes(msgLen)
-		return func() { c.Gather(0, mine) }
+		c.Gather(0, pr.msg)
 	case machine.OpScatter:
 		var blocks [][]byte
-		if c.Rank() == 0 {
-			blocks = mkBlocks()
+		if root {
+			blocks = pr.blocks
 		}
-		return func() { c.Scatter(0, blocks) }
+		c.Scatter(0, blocks)
 	case machine.OpAlltoall:
-		blocks := mkBlocks()
-		return func() { c.Alltoall(blocks) }
+		c.Alltoall(pr.blocks)
 	case machine.OpReduce:
-		mine := coll.ZeroBytes(msgLen)
-		return func() { c.Reduce(0, mine, mpi.Sum, mpi.Float) }
+		c.Reduce(0, pr.msg, mpi.Sum, mpi.Float)
 	case machine.OpScan:
-		mine := coll.ZeroBytes(msgLen)
-		return func() { c.Scan(mine, mpi.Sum, mpi.Float) }
+		c.Scan(pr.msg, mpi.Sum, mpi.Float)
 	case machine.OpAllgather:
-		mine := coll.ZeroBytes(msgLen)
-		return func() { c.Allgather(mine) }
+		c.Allgather(pr.msg)
 	case machine.OpAllreduce:
-		mine := coll.ZeroBytes(msgLen)
-		return func() { c.Allreduce(mine, mpi.Sum, mpi.Float) }
+		c.Allreduce(pr.msg, mpi.Sum, mpi.Float)
 	}
-	panic("measure: unknown operation " + string(op))
 }
 
 // StartupLatency estimates T0(p) the paper's way: the timing of the

@@ -114,11 +114,11 @@ func lookup[V any](reg map[string]V, name, what string) V {
 // enter charges the fixed per-call setup cost of a collective and
 // returns the cost-classed communicator the algorithm runs over.
 func (c *Comm) enter(op machine.Op) *Comm {
-	cl := c.w.cluster
-	if cost := cl.Machine().CallCost(op); cost > 0 {
-		c.proc.Sleep(cl.Jitter(cost))
+	v := c.as(op)
+	if cost := v.cost.Call; cost > 0 {
+		c.proc.Sleep(c.w.cluster.Jitter(cost))
 	}
-	return c.as(op)
+	return v
 }
 
 // Barrier blocks until all processes have entered it (MPI_Barrier). On

@@ -9,15 +9,16 @@ import (
 // Comm is a rank's communicator handle — MPI_COMM_WORLD bound to one
 // process, or a sub-communicator produced by Split. It implements
 // coll.Transport, so the collective algorithms run directly over it with
-// per-operation costs looked up from the machine model. Group-relative
-// ranks are translated to world ranks at the wire, and each communicator
-// stamps its messages with a context ID so traffic in different
-// communicators can never match.
+// per-operation costs read from the machine model's resolved tables
+// (machine.Costs). Group-relative ranks are translated to world ranks at
+// the wire, and each communicator stamps its messages with a context ID
+// so traffic in different communicators can never match.
 type Comm struct {
 	w       *World
 	rank    int // world rank of this process
 	proc    *sim.Proc
 	opClass machine.Op
+	cost    *machine.Costs // opClass's resolved costs
 
 	group []int       // world ranks of the members, nil for the world
 	myIdx int         // my position in group (== rank when group is nil)
@@ -96,8 +97,8 @@ func (c *Comm) Compute(d sim.Duration) { c.proc.Sleep(d) }
 // as returns a view of the communicator with the cost class set, under
 // which Send/Recv/Combine charge that operation's calibrated overheads.
 // A view is a shallow copy made once per communicator and op, then
-// reused. Every field but opClass is fixed, so a view left behind when
-// the views slice grows stays equivalent to its copy.
+// reused. Every field but opClass and cost is fixed, so a view left
+// behind when the views slice grows stays equivalent to its copy.
 func (c *Comm) as(op machine.Op) *Comm {
 	if c.opClass == op {
 		return c
@@ -110,7 +111,7 @@ func (c *Comm) as(op machine.Op) *Comm {
 	}
 	sh.views = append(sh.views, *c)
 	v := &sh.views[len(sh.views)-1]
-	v.opClass = op
+	v.opClass, v.cost = op, c.w.cluster.Machine().Costs(op)
 	return v
 }
 
@@ -123,7 +124,7 @@ func (c *Comm) as(op machine.Op) *Comm {
 // arbitrarily far ahead.
 func (c *Comm) Send(dst, tag int, data []byte) {
 	txDone := c.inject(dst, tag, data)
-	if len(data) > c.w.cluster.Machine().EagerLimit() {
+	if len(data) > c.w.eagerLimit {
 		if wait := txDone.Sub(c.proc.Now()); wait > 0 {
 			c.proc.Sleep(wait)
 		}
@@ -135,11 +136,10 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 // the time injection completes, when the send buffer is free again.
 func (c *Comm) inject(dst, tag int, data []byte) (txDone sim.Time) {
 	cl := c.w.cluster
-	m := cl.Machine()
 	wdst := c.worldRank(dst)
-	c.proc.Sleep(cl.Jitter(m.SendCost(c.opClass)))
+	c.proc.Sleep(cl.Jitter(c.cost.Send))
 	txDone, arrive := cl.Net().TransferDetail(
-		c.rank, wdst, len(data), c.proc.Now(), m.InjMBs(c.opClass, len(data)))
+		c.rank, wdst, len(data), c.proc.Now(), c.cost.InjMBs(len(data)))
 	c.w.deliverAt(arrive, wdst, envelope{src: c.rank, tag: c.wireTag(tag), data: data})
 	return txDone
 }
@@ -168,7 +168,7 @@ func (c *Comm) recvEnvelope(src, tag int) envelope {
 		e = req.done.Await(c.proc)
 		st.release(req)
 	}
-	c.proc.Sleep(cl.Jitter(cl.Machine().RecvCost(c.opClass)))
+	c.proc.Sleep(cl.Jitter(c.cost.Recv))
 	return e
 }
 
@@ -197,10 +197,8 @@ func (c *Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) []byte 
 // opaque payloads the cost is still charged but the data untouched —
 // the merged operand has a's length either way.
 func (c *Comm) Combine(a, b []byte, f coll.Combiner) []byte {
-	cl := c.w.cluster
-	size := len(a)
-	if cost := cl.Machine().CombineCost(c.opClass, size); cost > 0 {
-		c.proc.Sleep(cl.Jitter(cost))
+	if cost := c.cost.Combine(len(a)); cost > 0 {
+		c.proc.Sleep(c.w.cluster.Jitter(cost))
 	}
 	if c.w.opaque {
 		return a

@@ -51,6 +51,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		rank:    c.rank,
 		proc:    c.proc,
 		opClass: c.opClass,
+		cost:    c.cost,
 		group:   group,
 		myIdx:   myIdx,
 		ctx:     childContext(c.ctx, seq, color),

@@ -189,7 +189,7 @@ func TestIsendDoesNotBlockOnLargeMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if posted > 2*machine.SP2().SendCost(machine.OpP2P) {
+	if posted > 2*machine.SP2().Costs(machine.OpP2P).Send {
 		t.Fatalf("Isend of 1 MB took %v at post time, want ≈ send overhead", posted)
 	}
 }

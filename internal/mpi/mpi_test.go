@@ -112,7 +112,7 @@ func TestSmallSendIsEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := machine.SP2().SendCost(machine.OpP2P)
+	o := machine.SP2().Costs(machine.OpP2P).Send
 	if sendElapsed < o || sendElapsed > 2*o {
 		t.Fatalf("send elapsed %v, want ≈%v (eager)", sendElapsed, o)
 	}

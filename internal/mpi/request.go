@@ -59,8 +59,7 @@ func (r *Request) Wait() []byte {
 		r.recv = nil
 		r.done = true
 	}
-	cl := c.w.cluster
-	c.proc.Sleep(cl.Jitter(cl.Machine().RecvCost(c.opClass)))
+	c.proc.Sleep(c.w.cluster.Jitter(c.cost.Recv))
 	return r.env.data
 }
 

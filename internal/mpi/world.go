@@ -114,11 +114,12 @@ const deliveryChunk = 64
 
 // World is one SPMD program execution: p rank processes over a cluster.
 type World struct {
-	cluster *machine.Cluster
-	ranks   []rankState
-	algs    Algorithms
-	opaque  bool
-	free    *delivery // recycled deliveries
+	cluster    *machine.Cluster
+	ranks      []rankState
+	algs       Algorithms
+	opaque     bool
+	eagerLimit int       // the machine's, resolved once per run
+	free       *delivery // recycled deliveries
 }
 
 // deliverAt schedules e's arrival at world rank dst for time t.
@@ -198,11 +199,13 @@ func RunWith(cl *machine.Cluster, opt RunOptions, body func(c *Comm)) error {
 	}
 	p := cl.Size()
 	w := &World{
-		cluster: cl,
-		ranks:   make([]rankState, p),
-		algs:    opt.Algorithms,
-		opaque:  opt.OpaquePayloads,
+		cluster:    cl,
+		ranks:      make([]rankState, p),
+		algs:       opt.Algorithms,
+		opaque:     opt.OpaquePayloads,
+		eagerLimit: cl.Machine().EagerLimit(),
 	}
+	p2p := cl.Machine().Costs(machine.OpP2P)
 	// Each rank's communicator starts with room for two cost-classed
 	// views (the measured operation and the barrier) carved from one
 	// slab.
@@ -212,7 +215,7 @@ func RunWith(cl *machine.Cluster, opt RunOptions, body func(c *Comm)) error {
 	for r := range w.ranks {
 		w.ranks[r].free = &w.ranks[r].first
 		shared[r].views = views[2*r : 2*r : 2*r+2]
-		comms[r] = Comm{w: w, rank: r, opClass: machine.OpP2P, sh: &shared[r]}
+		comms[r] = Comm{w: w, rank: r, opClass: machine.OpP2P, cost: p2p, sh: &shared[r]}
 		c := &comms[r]
 		cl.Kernel().Go(rankName(r), func(proc *sim.Proc) {
 			c.proc = proc

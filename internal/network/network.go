@@ -15,6 +15,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -46,9 +47,11 @@ type Network struct {
 	nicTx []sim.Time // per-node injection port occupancy
 	nicRx []sim.Time // per-node ejection port occupancy
 
-	// path is the route buffer TransferDetail appends each message's
-	// links into, reused so routing allocates nothing in steady state.
-	path []topology.LinkID
+	// routes memoizes every route taken so far; nil when the topology
+	// is too large for its packed layout, and then path is the buffer
+	// each message's route is appended into, reused across messages.
+	routes *routeMemo
+	path   []topology.LinkID
 
 	// Stats
 	transfers   uint64
@@ -62,13 +65,74 @@ func New(k *sim.Kernel, topo topology.Topology, p Params) *Network {
 		panic("network: bandwidths must be positive")
 	}
 	return &Network{
-		k:     k,
-		topo:  topo,
-		p:     p,
-		links: make([]sim.Time, topo.Links()),
-		nicTx: make([]sim.Time, topo.Nodes()),
-		nicRx: make([]sim.Time, topo.Nodes()),
+		k:      k,
+		topo:   topo,
+		p:      p,
+		links:  make([]sim.Time, topo.Links()),
+		nicTx:  make([]sim.Time, topo.Nodes()),
+		nicRx:  make([]sim.Time, topo.Nodes()),
+		routes: newRouteMemo(topo),
 	}
+}
+
+// routeMemo holds each (src, dst) route of a topology from the first
+// transfer that takes it: routes are fixed, so every later message,
+// execution and repetition on the network reuses them. Link IDs are
+// stored as uint16 in an arena of fixed-size chunks, which fills
+// without regrowing, and each pair's span packs its arena offset and
+// route length into one uint32, so a 128-node all-to-all holds ~0.3 MB;
+// the memo lives and dies with its Network.
+type routeMemo struct {
+	n      int
+	span   []uint32 // src·n+dst → offset<<8 | length; 0 until routed
+	chunks [][]uint16
+}
+
+// memoChunk is the number of link IDs per arena chunk. A route never
+// straddles two chunks.
+const memoChunk = 1 << 12
+
+// newRouteMemo returns an empty memo for t, or nil when t's link IDs or
+// route lengths do not fit the packed layout (offsets get 24 bits; the
+// bound leaves room for the chunk tails a route does not fit into).
+func newRouteMemo(t topology.Topology) *routeMemo {
+	n := t.Nodes()
+	if t.Links() > math.MaxUint16+1 || t.Diameter() > math.MaxUint8 || n*n*t.Diameter() >= 1<<23 {
+		return nil
+	}
+	return &routeMemo{n: n}
+}
+
+// route returns the links from src to dst, src ≠ dst, routing the pair
+// on first use.
+func (n *Network) route(src, dst int) []uint16 {
+	r := n.routes
+	if r.span == nil {
+		r.span = make([]uint32, r.n*r.n)
+	}
+	i := src*r.n + dst
+	s := r.span[i]
+	if s == 0 {
+		n.path = n.topo.AppendRoute(n.path[:0], src, dst)
+		if len(n.path) > math.MaxUint8 {
+			panic(fmt.Sprintf("network: %s route %d→%d is longer than its diameter", n.topo.Name(), src, dst))
+		}
+		last := len(r.chunks) - 1
+		if last < 0 || len(r.chunks[last])+len(n.path) > memoChunk {
+			r.chunks = append(r.chunks, make([]uint16, 0, memoChunk))
+			last++
+		}
+		c := r.chunks[last]
+		s = uint32(last*memoChunk+len(c))<<8 | uint32(len(n.path))
+		for _, l := range n.path {
+			c = append(c, uint16(l))
+		}
+		r.chunks[last] = c
+		r.span[i] = s
+	}
+	at := int(s>>8) % memoChunk
+	end := at + int(s&0xff)
+	return r.chunks[s>>8/memoChunk][at:end:end]
 }
 
 // Topology returns the underlying topology.
@@ -118,8 +182,16 @@ func (n *Network) TransferDetail(src, dst int, size int, ready sim.Time, injMBs 
 		done := ready.Add(sim.PerByte(int64(size), injMBs))
 		return done, done
 	}
+	if n.routes != nil {
+		return book(n, n.route(src, dst), src, dst, size, ready, injMBs)
+	}
 	n.path = n.topo.AppendRoute(n.path[:0], src, dst)
-	path := n.path
+	return book(n, n.path, src, dst, size, ready, injMBs)
+}
+
+// book reserves path's links and the endpoints' ports for one
+// inter-node transfer and returns its injection and arrival times.
+func book[L uint16 | topology.LinkID](n *Network, path []L, src, dst, size int, ready sim.Time, injMBs float64) (txDone, arrive sim.Time) {
 	rate := injMBs
 	if n.p.LinkBandwidthMBs < rate {
 		rate = n.p.LinkBandwidthMBs

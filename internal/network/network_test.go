@@ -219,3 +219,83 @@ func TestPropertyArrivalMonotoneInReadyTime(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRouteMemoMatchesAppendRoute checks the memoized route of every
+// ordered pair against the topology's own routing, for every family at
+// 2–64 nodes: on first use (pairs taken in reverse order, so arena
+// offsets do not follow pair order), on reuse, and after Reset, which
+// must keep the memo rather than route again.
+func TestRouteMemoMatchesAppendRoute(t *testing.T) {
+	families := map[string]func(int) topology.Topology{
+		"omega":    func(n int) topology.Topology { return topology.OmegaForNodes(n) },
+		"torus":    func(n int) topology.Topology { return topology.TorusForNodes(n) },
+		"mesh":     func(n int) topology.Topology { return topology.MeshForNodes(n) },
+		"crossbar": func(n int) topology.Topology { return topology.NewCrossbar(n) },
+	}
+	for name, build := range families {
+		for p := 2; p <= 64; p++ {
+			topo := build(p)
+			net := New(sim.New(1), topo, Params{HopLatency: 1, LinkBandwidthMBs: 1, InjectionMBs: 1})
+			if net.routes == nil {
+				t.Fatalf("%s: no route memo", topo.Name())
+			}
+			nodes := topo.Nodes()
+			check := func(when string) {
+				for src := nodes - 1; src >= 0; src-- {
+					for dst := nodes - 1; dst >= 0; dst-- {
+						if src == dst {
+							continue
+						}
+						want := topo.AppendRoute(nil, src, dst)
+						got := net.route(src, dst)
+						if len(got) != len(want) {
+							t.Fatalf("%s %s %d→%d: route %v, want %v", name, when, src, dst, got, want)
+						}
+						for i := range got {
+							if topology.LinkID(got[i]) != want[i] {
+								t.Fatalf("%s %s %d→%d: route %v, want %v", name, when, src, dst, got, want)
+							}
+						}
+					}
+				}
+			}
+			check("first use")
+			stored := func() (links int) {
+				for _, c := range net.routes.chunks {
+					links += len(c)
+				}
+				return links
+			}
+			memo, links := net.routes, stored()
+			check("reuse")
+			net.Reset()
+			check("after Reset")
+			if net.routes != memo || stored() != links {
+				t.Fatalf("%s: routes were recomputed on reuse or after Reset", topo.Name())
+			}
+		}
+	}
+}
+
+// TestTransfersWithoutRouteMemo runs one all-to-all burst twice, through
+// the route memo and through per-message routing (the path taken by
+// topologies too large for the memo), and requires identical timings.
+func TestTransfersWithoutRouteMemo(t *testing.T) {
+	prm := Params{HopLatency: 40, LinkBandwidthMBs: 175, InjectionMBs: 60}
+	memo := New(sim.New(1), topology.MeshForNodes(16), prm)
+	plain := New(sim.New(1), topology.MeshForNodes(16), prm)
+	plain.routes = nil
+	for src := 0; src < 16; src++ {
+		for dst := 0; dst < 16; dst++ {
+			ready := sim.Time(src * 100)
+			a1, b1 := memo.TransferDetail(src, dst, 4096, ready, 0)
+			a2, b2 := plain.TransferDetail(src, dst, 4096, ready, 0)
+			if a1 != a2 || b1 != b2 {
+				t.Fatalf("%d→%d: memo (%v, %v), per-message routing (%v, %v)", src, dst, a1, b1, a2, b2)
+			}
+		}
+	}
+	if newRouteMemo(topology.MeshForNodes(4096)) != nil {
+		t.Fatal("a 4096-node mesh overflows the packed memo but got one")
+	}
+}

@@ -33,10 +33,9 @@
 //
 // Future is a single-assignment value processes can wait on (its first
 // waiter is held inline, and Init re-arms a future embedded in a
-// recycled object); Resource is a counted semaphore with deterministic
-// FIFO grants; Mailbox is a typed rendezvous channel between processes.
-// All are built on the kernel's wakeup primitive and preserve
-// determinism.
+// recycled object); Signal is a Future without a payload. With Sleep it
+// is one of the two places a process parks. Both are built on the
+// kernel's wakeup primitive and preserve determinism.
 //
 // # Reuse
 //

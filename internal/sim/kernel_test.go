@@ -158,14 +158,13 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestDeadlockReportNamesAnonymousProcs(t *testing.T) {
 	k := New(1)
-	r := NewResource(k, "cpu", 1)
-	k.Go("", func(p *Proc) { r.Acquire(p); NewSignal(k, "x").Await(p) })
-	k.Go("", func(p *Proc) { r.Acquire(p) })
+	k.Go("", func(p *Proc) { NewSignal(k, "x").Await(p) })
+	k.Go("", func(p *Proc) { p.Sleep(1); NewSignal(k, "y").Await(p) })
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
 	}
-	for _, want := range []string{"proc-1 (waiting: future x)", "proc-2 (waiting: resource cpu)"} {
+	for _, want := range []string{"proc-1 (waiting: future x)", "proc-2 (waiting: future y)"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("deadlock report %q does not name %q", err, want)
 		}
@@ -307,155 +306,6 @@ func TestFutureDoubleResolvePanics(t *testing.T) {
 		}
 	}()
 	f.Resolve(2)
-}
-
-func TestResourceSerializes(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, "cpu", 1)
-	var spans [][2]Time
-	for i := 0; i < 4; i++ {
-		k.Go("", func(p *Proc) {
-			r.Acquire(p)
-			start := p.Now()
-			p.Sleep(10 * Microsecond)
-			spans = append(spans, [2]Time{start, p.Now()})
-			r.Release()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) != 4 {
-		t.Fatalf("%d spans", len(spans))
-	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i][0] < spans[i-1][1] {
-			t.Fatalf("overlapping holds: %v", spans)
-		}
-	}
-	if spans[3][1] != Time(40*Microsecond) {
-		t.Fatalf("last release at %v, want 40µs", spans[3][1])
-	}
-}
-
-func TestResourceCapacityTwo(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, "dma", 2)
-	var done []Time
-	for i := 0; i < 4; i++ {
-		k.Go("", func(p *Proc) {
-			r.Acquire(p)
-			p.Sleep(10 * Microsecond)
-			r.Release()
-			done = append(done, p.Now())
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Two waves of two: finish at 10µs, 10µs, 20µs, 20µs.
-	if done[1] != Time(10*Microsecond) || done[3] != Time(20*Microsecond) {
-		t.Fatalf("done times = %v", done)
-	}
-}
-
-func TestResourceFIFOAdmission(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, "q", 1)
-	var order []string
-	names := []string{"a", "b", "c", "d"}
-	for i, n := range names {
-		n := n
-		k.At(Time(i), func() {
-			k.Go(n, func(p *Proc) {
-				r.Acquire(p)
-				order = append(order, p.Name())
-				p.Sleep(Microsecond)
-				r.Release()
-			})
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range names {
-		if order[i] != n {
-			t.Fatalf("admission order = %v", order)
-		}
-	}
-}
-
-func TestReleaseIdlePanics(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, "x", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	r.Release()
-}
-
-func TestLatchReleasesAllTogether(t *testing.T) {
-	k := New(1)
-	l := NewLatch(k, "sync", 3)
-	var times []Time
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Go("", func(p *Proc) {
-			p.Sleep(Duration(i*10) * Microsecond)
-			l.Arrive(p)
-			times = append(times, p.Now())
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, tm := range times {
-		if tm != Time(20*Microsecond) {
-			t.Fatalf("latch release times = %v, want all 20µs", times)
-		}
-	}
-}
-
-func TestLatchReusableAcrossGenerations(t *testing.T) {
-	k := New(1)
-	l := NewLatch(k, "sync", 2)
-	var hits int
-	for i := 0; i < 2; i++ {
-		k.Go("", func(p *Proc) {
-			for j := 0; j < 5; j++ {
-				p.Sleep(Microsecond)
-				l.Arrive(p)
-				hits++
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if hits != 10 {
-		t.Fatalf("hits = %d, want 10", hits)
-	}
-}
-
-func TestMailboxBlockingGet(t *testing.T) {
-	k := New(1)
-	m := NewMailbox[int](k, "mb")
-	var got []int
-	k.Go("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, m.Get(p))
-		}
-	})
-	k.At(10, func() { m.Put(1) })
-	k.At(20, func() { m.Put(2); m.Put(3) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("got %v", got)
-	}
 }
 
 func TestPerByte(t *testing.T) {

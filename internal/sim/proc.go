@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Proc is a simulated process: a goroutine that runs simulated work and
-// blocks on simulated conditions (Sleep, Future.Await, Resource.Acquire).
+// blocks on simulated conditions (Sleep, Future.Await).
 // At most one process runs at a time; the execution token passes
 // directly between processes (and the Run caller) over unbuffered
 // channels, so process code needs no locking and observes a consistent
@@ -66,7 +66,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 // own wakeup event is reached. kind and on record what the process waits
 // for, for deadlock reports. Must be called from within the process
 // itself, with a wakeup for it either already queued or arranged to be
-// scheduled by another process (Future.Resolve, Resource.Release).
+// scheduled by another context (Future.Resolve).
 //
 // Fast path: if the next runnable event is this process's own wakeup,
 // park drains the intervening callback events inline and returns
@@ -116,7 +116,3 @@ func (p *Proc) Sleep(d Duration) {
 	p.k.wake(p, d)
 	p.park("sleep", "")
 }
-
-// Yield reschedules the process at the current time behind any already
-// pending events.
-func (p *Proc) Yield() { p.Sleep(0) }

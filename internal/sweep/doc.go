@@ -11,9 +11,10 @@
 // methodology — and Expand materializes it in deterministic order;
 // zero-value fields select the paper's own sweep (three machines, seven
 // operations, factor-of-four lengths). Runner executes scenarios
-// through any estimate.Backend over a bounded worker pool: every
-// scenario is an independent seeded simulation (or closed-form
-// evaluation), so output is byte-identical for any worker count. For
+// through any estimate.Backend over a bounded worker pool whose workers
+// claim scenarios one at a time: every scenario is an independent
+// seeded simulation (or closed-form evaluation), so output is
+// byte-identical for any worker count. For
 // calibrated backends the runner bulk-calibrates the grid's triples
 // first (phase 2 of Run), so cold sweeps parallelize calibration
 // instead of serializing behind first-touch fits.
@@ -24,7 +25,7 @@
 // written and all keyed by content:
 //
 //   - *.seg.ndjson  measured samples, one newline-delimited JSON
-//     segment per runner batch, one {key, id, sample} line per
+//     segment per runner span, one {key, id, sample} line per
 //     scenario; a sample's key covers scenario + machine calibration
 //     fingerprint + backend identity/provenance, and a segment is named
 //     by a digest of its keys
@@ -36,7 +37,7 @@
 //
 // A Run computes its scenarios' keys, streams the directory's segments
 // once to serve the hits (the Cache keeps no index between Runs), and
-// writes each batch of fresh results as one segment. Lines that are
+// writes each span's fresh results as one segment. Lines that are
 // not well-formed entries, or that carry another key, serve nothing;
 // per-key <key>.json sample files of older layouts are never read, so
 // their scenarios are recomputed.

@@ -35,18 +35,15 @@ type Progress struct {
 	Micros      float64
 }
 
-// Runner shards scenarios across a worker pool. Every scenario is an
-// independent estimate — under the sim backend its own cluster, kernel,
-// and RNG seeded from the scenario — so results are identical
-// regardless of worker count; only wall-clock time changes.
+// Runner runs scenarios on a worker pool, each worker claiming the next
+// pending scenario as it finishes one, so a slow scenario holds up only
+// its own worker. Every scenario is an independent estimate — under the
+// sim backend its own cluster, kernel, and RNG seeded from the scenario
+// — so results are identical regardless of worker count; only
+// wall-clock time changes.
 type Runner struct {
 	// Workers is the pool size; ≤ 0 means GOMAXPROCS.
 	Workers int
-	// BatchSize groups scenarios per work item to amortize channel
-	// traffic on large grids, and each item's fresh results into one
-	// cache segment; ≤ 0 picks a size that keeps every worker busy with
-	// a few batches.
-	BatchSize int
 	// Cache, when non-nil, serves repeated scenarios without
 	// re-estimating and persists fresh results. Keys carry the
 	// backend's identity and provenance, so switching backends (or
@@ -74,8 +71,10 @@ type Runner struct {
 // precalibrated through a worker pool of the same size, so cold
 // calibration parallelizes across triples instead of serializing
 // behind the first scenario that needs each one; finally the remaining
-// scenarios are estimated in parallel, each batch persisting its
-// results as one cache segment.
+// scenarios are estimated in parallel. Fresh results persist as one
+// cache segment per span: the pending scenarios fall into contiguous
+// spans of n/(4·workers)+1, and whichever worker finishes a span's last
+// scenario writes the span's segment.
 func (r *Runner) Run(scenarios []Scenario) []Result {
 	workers := r.Workers
 	if workers <= 0 {
@@ -108,20 +107,21 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 	}
 
 	results := make([]Result, len(scenarios))
-	var done atomic.Int64
+	done := 0
 	var progressMu sync.Mutex
 	report := func(i int) {
-		n := int(done.Add(1))
-		if r.OnProgress != nil {
-			progressMu.Lock()
-			r.OnProgress(Progress{
-				Done: n, Total: len(scenarios),
-				Scenario: scenarios[i],
-				Cached:   results[i].Cached,
-				Micros:   results[i].Sample.Micros,
-			})
-			progressMu.Unlock()
+		if r.OnProgress == nil {
+			return
 		}
+		progressMu.Lock()
+		done++
+		r.OnProgress(Progress{
+			Done: done, Total: len(scenarios),
+			Scenario: scenarios[i],
+			Cached:   results[i].Cached,
+			Micros:   results[i].Sample.Micros,
+		})
+		progressMu.Unlock()
 	}
 
 	// phaseClock reads the monotonic clock only when metrics are
@@ -143,11 +143,9 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 	pending := make([]int, 0, len(scenarios))
 	keys := make([]string, len(scenarios))
 	if r.Cache != nil {
-		r.forEach(workers, len(scenarios), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sc := scenarios[i]
-				keys[i] = sc.Key(mctx[sc.Machine].fingerprint, backendID)
-			}
+		claim(workers, len(scenarios), func(i int) {
+			sc := scenarios[i]
+			keys[i] = sc.Key(mctx[sc.Machine].fingerprint, backendID)
 		})
 		hits := r.Cache.lookup(keys)
 		for i, sc := range scenarios {
@@ -185,57 +183,51 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 
 	// Phase 3: estimate what the cache could not serve.
 	phaseStart = phaseClock()
-	r.forEach(workers, len(pending), func(lo, hi int) {
-		var seg []entry
-		for _, i := range pending[lo:hi] {
-			sc := scenarios[i]
-			results[i] = runOne(sc, mctx[sc.Machine], backend)
-			if r.Cache != nil {
-				seg = append(seg, entry{Key: keys[i], ID: sc.ID(), Sample: results[i].Sample})
+	span := len(pending)/(4*min(workers, max(len(pending), 1))) + 1
+	left := make([]atomic.Int32, (len(pending)+span-1)/span)
+	for s := range left {
+		left[s].Store(int32(min(span, len(pending)-s*span)))
+	}
+	claim(workers, len(pending), func(j int) {
+		i := pending[j]
+		sc := scenarios[i]
+		results[i] = runOne(sc, mctx[sc.Machine], backend)
+		report(i)
+		if s := j / span; left[s].Add(-1) == 0 && r.Cache != nil {
+			lo, hi := s*span, min((s+1)*span, len(pending))
+			seg := make([]entry, 0, hi-lo)
+			for _, i := range pending[lo:hi] {
+				seg = append(seg, entry{Key: keys[i], ID: scenarios[i].ID(), Sample: results[i].Sample})
 			}
-			report(i)
+			_ = r.Cache.putSegment(seg) // best-effort; a full disk must not fail the sweep
 		}
-		_ = r.Cache.putSegment(seg) // best-effort; a full disk must not fail the sweep
 	})
 	endPhase(phaseEstimate, phaseStart)
 	return results
 }
 
-// forEach runs fn over [0, n) in contiguous spans [lo, hi) (~4 per
-// worker) across a bounded worker pool, so the tail stays balanced
-// without a channel send per item.
-func (r *Runner) forEach(workers, n int, fn func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	batch := r.BatchSize
-	if batch <= 0 {
-		batch = n/(4*workers) + 1
-	}
+// claim runs fn(i) for every i in [0, n) on up to workers goroutines,
+// each claiming the next index from a shared counter as it finishes the
+// last, so the tail stays balanced whatever the items cost.
+func claim(workers, n int, fn func(i int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
-		for lo := 0; lo < n; lo += batch {
-			fn(lo, min(lo+batch, n))
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
-	jobs := make(chan [2]int, workers) // bounded queue of [lo, hi) index ranges
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for span := range jobs {
-				fn(span[0], span[1])
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
 			}
 		}()
 	}
-	for lo := 0; lo < n; lo += batch {
-		jobs <- [2]int{lo, min(lo+batch, n)}
-	}
-	close(jobs)
 	wg.Wait()
 }
 

@@ -159,7 +159,7 @@ func testScenarios(t *testing.T) []Scenario {
 func TestRunnerResultsIndependentOfWorkerCount(t *testing.T) {
 	scns := testScenarios(t)
 	serial := (&Runner{Workers: 1}).Run(scns)
-	parallel := (&Runner{Workers: 8, BatchSize: 1}).Run(scns)
+	parallel := (&Runner{Workers: 8}).Run(scns)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("results differ between 1 and 8 workers")
 	}
@@ -457,7 +457,7 @@ func TestRunnerAnalyticMatchesModel(t *testing.T) {
 	}
 	backend := estimate.PaperAnalytic()
 	serial := (&Runner{Workers: 1, Backend: backend}).Run(scns)
-	parallel := (&Runner{Workers: 8, BatchSize: 1, Backend: backend}).Run(scns)
+	parallel := (&Runner{Workers: 8, Backend: backend}).Run(scns)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("analytic results differ between 1 and 8 workers")
 	}
