@@ -26,9 +26,9 @@ func TestMeasureAllocBudget(t *testing.T) {
 		op     machine.Op
 		budget float64
 	}{
-		{machine.T3D(), machine.OpAlltoall, 647},
-		{machine.Paragon(), machine.OpBroadcast, 382},
-		{machine.SP2(), machine.OpReduce, 453},
+		{machine.T3D(), machine.OpAlltoall, 646},
+		{machine.Paragon(), machine.OpBroadcast, 381},
+		{machine.SP2(), machine.OpReduce, 452},
 	} {
 		algs := mpi.DefaultAlgorithms(c.mach)
 		allocs := testing.AllocsPerRun(10, func() {

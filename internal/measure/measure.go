@@ -144,12 +144,6 @@ type program struct {
 }
 
 func newProgram(op machine.Op, p, msgLen int, cfg Config) *program {
-	switch op {
-	case machine.OpBarrier, machine.OpBroadcast, machine.OpGather, machine.OpScatter, machine.OpAlltoall,
-		machine.OpReduce, machine.OpScan, machine.OpAllgather, machine.OpAllreduce:
-	default:
-		panic("measure: unknown operation " + string(op))
-	}
 	pr := &program{op: op, cfg: cfg, msg: coll.ZeroBytes(msgLen), locals: make([]sim.Duration, p)}
 	if op == machine.OpScatter || op == machine.OpAlltoall {
 		pr.blocks = make([][]byte, p)
@@ -232,6 +226,8 @@ func (pr *program) once(c *mpi.Comm) {
 		c.Allgather(pr.msg)
 	case machine.OpAllreduce:
 		c.Allreduce(pr.msg, mpi.Sum, mpi.Float)
+	default:
+		panic("measure: unknown operation " + string(pr.op))
 	}
 }
 

@@ -47,10 +47,9 @@ type Network struct {
 	nicTx []sim.Time // per-node injection port occupancy
 	nicRx []sim.Time // per-node ejection port occupancy
 
-	// routes memoizes every route taken so far; nil when the topology
-	// is too large for its packed layout, and then path is the buffer
-	// each message's route is appended into, reused across messages.
-	routes *routeMemo
+	// routes memoizes every route taken so far; path is the buffer a
+	// pair's route is computed into on its first use.
+	routes routeMemo
 	path   []topology.LinkID
 
 	// Stats
@@ -59,67 +58,73 @@ type Network struct {
 	contendedNs sim.Duration
 }
 
-// New returns a network over the given topology.
+// New returns a network over the given topology, which must fit the
+// route memo's packed layout (see fitsRouteMemo); every machine the
+// study allocates does, with room to spare.
 func New(k *sim.Kernel, topo topology.Topology, p Params) *Network {
 	if p.LinkBandwidthMBs <= 0 || p.InjectionMBs <= 0 {
 		panic("network: bandwidths must be positive")
 	}
+	if !fitsRouteMemo(topo) {
+		panic(fmt.Sprintf("network: %s (%d nodes, %d links, diameter %d) is too large for the route memo",
+			topo.Name(), topo.Nodes(), topo.Links(), topo.Diameter()))
+	}
 	return &Network{
-		k:      k,
-		topo:   topo,
-		p:      p,
-		links:  make([]sim.Time, topo.Links()),
-		nicTx:  make([]sim.Time, topo.Nodes()),
-		nicRx:  make([]sim.Time, topo.Nodes()),
-		routes: newRouteMemo(topo),
+		k:     k,
+		topo:  topo,
+		p:     p,
+		links: make([]sim.Time, topo.Links()),
+		nicTx: make([]sim.Time, topo.Nodes()),
+		nicRx: make([]sim.Time, topo.Nodes()),
 	}
 }
 
 // routeMemo holds each (src, dst) route of a topology from the first
 // transfer that takes it: routes are fixed, so every later message,
 // execution and repetition on the network reuses them. Link IDs are
-// stored as uint16 in an arena of fixed-size chunks, which fills
-// without regrowing, and each pair's span packs its arena offset and
-// route length into one uint32, so a 128-node all-to-all holds ~0.3 MB;
-// the memo lives and dies with its Network.
+// stored as uint16 in an arena of chunks that fill without regrowing,
+// and each pair's span packs its arena offset and route length into
+// one uint32, so a 128-node all-to-all holds ~0.3 MB; the memo lives
+// and dies with its Network.
 type routeMemo struct {
-	n      int
 	span   []uint32 // src·n+dst → offset<<8 | length; 0 until routed
 	chunks [][]uint16
 }
 
-// memoChunk is the number of link IDs per arena chunk. A route never
-// straddles two chunks.
+// memoChunk is the largest number of link IDs per arena chunk; chunk c
+// starts at arena offset c·memoChunk. A route never straddles two
+// chunks.
 const memoChunk = 1 << 12
 
-// newRouteMemo returns an empty memo for t, or nil when t's link IDs or
-// route lengths do not fit the packed layout (offsets get 24 bits; the
-// bound leaves room for the chunk tails a route does not fit into).
-func newRouteMemo(t topology.Topology) *routeMemo {
+// fitsRouteMemo reports whether t's link IDs and route lengths fit the
+// memo's packed layout (offsets get 24 bits; the bound leaves room for
+// the chunk tails a route does not fit into).
+func fitsRouteMemo(t topology.Topology) bool {
 	n := t.Nodes()
-	if t.Links() > math.MaxUint16+1 || t.Diameter() > math.MaxUint8 || n*n*t.Diameter() >= 1<<23 {
-		return nil
-	}
-	return &routeMemo{n: n}
+	return t.Links() <= math.MaxUint16+1 && t.Diameter() <= math.MaxUint8 && n*n*t.Diameter() < 1<<23
 }
 
 // route returns the links from src to dst, src ≠ dst, routing the pair
 // on first use.
 func (n *Network) route(src, dst int) []uint16 {
-	r := n.routes
+	r := &n.routes
+	nodes := len(n.nicTx) // the topology's node count
 	if r.span == nil {
-		r.span = make([]uint32, r.n*r.n)
+		r.span = make([]uint32, nodes*nodes)
 	}
-	i := src*r.n + dst
+	i := src*nodes + dst
 	s := r.span[i]
 	if s == 0 {
 		n.path = n.topo.AppendRoute(n.path[:0], src, dst)
-		if len(n.path) > math.MaxUint8 {
+		diam := n.topo.Diameter()
+		if len(n.path) > diam {
 			panic(fmt.Sprintf("network: %s route %d→%d is longer than its diameter", n.topo.Name(), src, dst))
 		}
 		last := len(r.chunks) - 1
-		if last < 0 || len(r.chunks[last])+len(n.path) > memoChunk {
-			r.chunks = append(r.chunks, make([]uint16, 0, memoChunk))
+		if last < 0 || len(r.chunks[last])+len(n.path) > cap(r.chunks[last]) {
+			// A small network's routes all fit one chunk shorter than
+			// memoChunk.
+			r.chunks = append(r.chunks, make([]uint16, 0, min(memoChunk, nodes*(nodes-1)*diam)))
 			last++
 		}
 		c := r.chunks[last]
@@ -182,16 +187,7 @@ func (n *Network) TransferDetail(src, dst int, size int, ready sim.Time, injMBs 
 		done := ready.Add(sim.PerByte(int64(size), injMBs))
 		return done, done
 	}
-	if n.routes != nil {
-		return book(n, n.route(src, dst), src, dst, size, ready, injMBs)
-	}
-	n.path = n.topo.AppendRoute(n.path[:0], src, dst)
-	return book(n, n.path, src, dst, size, ready, injMBs)
-}
-
-// book reserves path's links and the endpoints' ports for one
-// inter-node transfer and returns its injection and arrival times.
-func book[L uint16 | topology.LinkID](n *Network, path []L, src, dst, size int, ready sim.Time, injMBs float64) (txDone, arrive sim.Time) {
+	path := n.route(src, dst)
 	rate := injMBs
 	if n.p.LinkBandwidthMBs < rate {
 		rate = n.p.LinkBandwidthMBs

@@ -236,9 +236,6 @@ func TestRouteMemoMatchesAppendRoute(t *testing.T) {
 		for p := 2; p <= 64; p++ {
 			topo := build(p)
 			net := New(sim.New(1), topo, Params{HopLatency: 1, LinkBandwidthMBs: 1, InjectionMBs: 1})
-			if net.routes == nil {
-				t.Fatalf("%s: no route memo", topo.Name())
-			}
 			nodes := topo.Nodes()
 			check := func(when string) {
 				for src := nodes - 1; src >= 0; src-- {
@@ -266,36 +263,36 @@ func TestRouteMemoMatchesAppendRoute(t *testing.T) {
 				}
 				return links
 			}
-			memo, links := net.routes, stored()
+			span, links := &net.routes.span[0], stored()
 			check("reuse")
 			net.Reset()
 			check("after Reset")
-			if net.routes != memo || stored() != links {
+			if &net.routes.span[0] != span || stored() != links {
 				t.Fatalf("%s: routes were recomputed on reuse or after Reset", topo.Name())
 			}
 		}
 	}
 }
 
-// TestTransfersWithoutRouteMemo runs one all-to-all burst twice, through
-// the route memo and through per-message routing (the path taken by
-// topologies too large for the memo), and requires identical timings.
-func TestTransfersWithoutRouteMemo(t *testing.T) {
+// TestRouteMemoSizing checks the memo's arena against its packed
+// layout: a small network's routes share one chunk sized to them, and
+// New refuses a topology whose links or routes the layout cannot hold.
+func TestRouteMemoSizing(t *testing.T) {
 	prm := Params{HopLatency: 40, LinkBandwidthMBs: 175, InjectionMBs: 60}
-	memo := New(sim.New(1), topology.MeshForNodes(16), prm)
-	plain := New(sim.New(1), topology.MeshForNodes(16), prm)
-	plain.routes = nil
-	for src := 0; src < 16; src++ {
-		for dst := 0; dst < 16; dst++ {
-			ready := sim.Time(src * 100)
-			a1, b1 := memo.TransferDetail(src, dst, 4096, ready, 0)
-			a2, b2 := plain.TransferDetail(src, dst, 4096, ready, 0)
-			if a1 != a2 || b1 != b2 {
-				t.Fatalf("%d→%d: memo (%v, %v), per-message routing (%v, %v)", src, dst, a1, b1, a2, b2)
-			}
+	topo := topology.MeshForNodes(4)
+	net := New(sim.New(1), topo, prm)
+	for src := 0; src < 4; src++ {
+		for dst := 0; dst < 4; dst++ {
+			net.Transfer(src, dst, 64, 0)
 		}
 	}
-	if newRouteMemo(topology.MeshForNodes(4096)) != nil {
-		t.Fatal("a 4096-node mesh overflows the packed memo but got one")
+	if got, want := cap(net.routes.chunks[0]), 4*3*topo.Diameter(); len(net.routes.chunks) != 1 || got != want {
+		t.Fatalf("4-node mesh: %d chunks, first of capacity %d; want 1 of %d", len(net.routes.chunks), got, want)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 4096-node mesh overflows the packed memo but New accepted it")
+		}
+	}()
+	New(sim.New(1), topology.MeshForNodes(4096), prm)
 }
