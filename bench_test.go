@@ -290,10 +290,10 @@ func BenchmarkEngine_EventThroughput(b *testing.B) {
 	tick = func() {
 		n++
 		if n < b.N {
-			k.After(1, tick)
+			k.At(k.Now().Add(1), tick)
 		}
 	}
-	k.After(1, tick)
+	k.At(k.Now().Add(1), tick)
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)

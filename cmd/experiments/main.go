@@ -329,9 +329,10 @@ func render(out io.Writer, g *grid, method string) error {
 		}
 	}
 	w("")
-	w("§7 highlights: the Paragon's total-exchange and gather startups at")
-	w("p=32 (paper: 3857 µs and 2918 µs) measure %.0f µs and %.0f µs here.",
-		g.t0("Paragon", machine.OpAlltoall, 32), g.t0("Paragon", machine.OpGather, 32))
+	ex, ga := paper.Fig4Latencies[0], paper.Fig4Latencies[1]
+	w("§7 highlights: the %s's total-exchange and gather startups at", ex.Machine)
+	w("p=%d (paper: %.0f %s and %.0f %s) measure %.0f µs and %.0f µs here.",
+		ex.P, ex.Value, ex.Unit, ga.Value, ga.Unit, g.t0(ex.Machine, ex.Op, ex.P), g.t0(ga.Machine, ga.Op, ga.P))
 	w("")
 
 	// ---- Fig. 5 -------------------------------------------------------

@@ -1,10 +1,10 @@
 package coll
 
-// The v-variants relax the equal-block-size contract: each rank may
-// contribute or receive a different amount. The vendor implementations
-// of the era were linear (tree consolidation does not pay off when
-// block sizes are irregular), so these are linear fan-in/fan-out with
-// the same cost structure as GatherLinear/ScatterLinear.
+// Gatherv relaxes the equal-block-size contract: each rank may
+// contribute a different amount. The vendor implementations of the era
+// were linear (tree consolidation does not pay off when block sizes are
+// irregular), so it is a linear fan-in with the same cost structure as
+// GatherLinear.
 
 // Gatherv collects a variable-size block from every rank at root.
 // Returns the blocks in rank order on root, nil elsewhere. Unlike MPI,
@@ -23,46 +23,6 @@ func Gatherv(t Transport, root int, mine []byte) [][]byte {
 		if r != root {
 			out[r] = t.Recv(r, tagGatherv)
 		}
-	}
-	return out
-}
-
-// Scatterv distributes per-rank variable-size blocks from root; every
-// rank returns its block. The root passes one (possibly empty) block per
-// rank; other ranks pass nil.
-func Scatterv(t Transport, root int, blocks [][]byte) []byte {
-	p := t.Size()
-	rank := t.Rank()
-	if rank != root {
-		return t.Recv(root, tagScatter+0x40)
-	}
-	if len(blocks) != p {
-		panic("coll: scatterv root needs exactly p blocks")
-	}
-	for r := 0; r < p; r++ {
-		if r != root {
-			t.Send(r, tagScatter+0x40, blocks[r])
-		}
-	}
-	return blocks[rank]
-}
-
-// Alltoallv performs total exchange with per-destination block sizes:
-// rank i's blocks[j] goes to rank j, any sizes. Pairwise-shift schedule,
-// like AlltoallPairwise.
-func Alltoallv(t Transport, blocks [][]byte) [][]byte {
-	p := t.Size()
-	rank := t.Rank()
-	if len(blocks) != p {
-		panic("coll: alltoallv needs exactly p blocks")
-	}
-	out := make([][]byte, p)
-	out[rank] = blocks[rank]
-	for r := 1; r < p; r++ {
-		dst := (rank + r) % p
-		src := (rank - r + p) % p
-		t.Send(dst, tagAlltoall+0x40+r<<8, blocks[dst])
-		out[src] = t.Recv(src, tagAlltoall+0x40+r<<8)
 	}
 	return out
 }

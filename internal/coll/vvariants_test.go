@@ -35,48 +35,6 @@ func TestGathervVariableSizes(t *testing.T) {
 	}
 }
 
-func TestScattervVariableSizes(t *testing.T) {
-	for _, p := range []int{1, 3, 8, 13} {
-		root := p / 2
-		res := runSPMD(p, func(tr Transport) []byte {
-			var blocks [][]byte
-			if tr.Rank() == root {
-				blocks = make([][]byte, p)
-				for i := range blocks {
-					blocks[i] = payload(i, 1, 2*i)
-				}
-			}
-			return Scatterv(tr, root, blocks)
-		})
-		for r, b := range res {
-			if !bytes.Equal(b, payload(r, 1, 2*r)) {
-				t.Fatalf("p=%d: rank %d got wrong scatterv block", p, r)
-			}
-		}
-	}
-}
-
-func TestAlltoallvVariableSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 7, 9} {
-		res := runSPMD(p, func(tr Transport) [][]byte {
-			blocks := make([][]byte, p)
-			for d := range blocks {
-				// Size depends on both endpoints: src+2*dst bytes.
-				blocks[d] = mkAlltoallBlock(tr.Rank(), d, tr.Rank()+2*d)
-			}
-			return Alltoallv(tr, blocks)
-		})
-		for me, got := range res {
-			for src, b := range got {
-				want := mkAlltoallBlock(src, me, src+2*me)
-				if !bytes.Equal(b, want) {
-					t.Fatalf("p=%d: rank %d block from %d wrong", p, me, src)
-				}
-			}
-		}
-	}
-}
-
 func TestReduceScatterPowerOfTwo(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 16} {
 		res := runSPMD(p, func(tr Transport) []byte {

@@ -34,26 +34,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestHopLatenciesMatchPaper(t *testing.T) {
-	// Paper §4: 125 ns SP2, 20 ns T3D, 40 ns Paragon.
-	want := map[string]sim.Duration{"SP2": 125, "T3D": 20, "Paragon": 40}
-	for _, m := range All() {
-		if got := m.Params().Net.HopLatency; got != want[m.Name()] {
-			t.Errorf("%s hop latency = %v, want %v", m.Name(), got, want[m.Name()])
-		}
-	}
-}
-
-func TestLinkBandwidthsMatchPaper(t *testing.T) {
-	// Paper §5: 40, 300, 175 MB/s.
-	want := map[string]float64{"SP2": 40, "T3D": 300, "Paragon": 175}
-	for _, m := range All() {
-		if got := m.Params().Net.LinkBandwidthMBs; got != want[m.Name()] {
-			t.Errorf("%s link bandwidth = %v, want %v", m.Name(), got, want[m.Name()])
-		}
-	}
-}
-
 func TestTopologyFamilies(t *testing.T) {
 	if _, ok := SP2().NewTopology(64).(*topology.Omega); !ok {
 		t.Error("SP2 should build an omega network")

@@ -26,9 +26,9 @@ func TestMeasureAllocBudget(t *testing.T) {
 		op     machine.Op
 		budget float64
 	}{
-		{machine.T3D(), machine.OpAlltoall, 646},
-		{machine.Paragon(), machine.OpBroadcast, 381},
-		{machine.SP2(), machine.OpReduce, 452},
+		{machine.T3D(), machine.OpAlltoall, 580},
+		{machine.Paragon(), machine.OpBroadcast, 315},
+		{machine.SP2(), machine.OpReduce, 386},
 	} {
 		algs := mpi.DefaultAlgorithms(c.mach)
 		allocs := testing.AllocsPerRun(10, func() {

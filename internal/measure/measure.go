@@ -241,11 +241,5 @@ func StartupLatency(mach *machine.Machine, op machine.Op, p int, cfg Config) flo
 	return MeasureOp(mach, op, p, m, cfg).Micros
 }
 
-// PaperSizes returns the study's machine-size sweep for mach, capped at
-// its allocation (§2: 2, 4, …, 128; 64 on the T3D).
-func PaperSizes(mach *machine.Machine) []int {
-	return paper.MachineSizes(mach.Name())
-}
-
 // PaperLengths returns the study's message-length sweep (§2).
 func PaperLengths() []int { return paper.MessageLengths() }

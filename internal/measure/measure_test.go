@@ -6,6 +6,7 @@ import (
 	"repro/internal/coll"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/paper"
 )
 
 func TestMeasureBarrierT3DNearHardwareCost(t *testing.T) {
@@ -80,11 +81,11 @@ func TestStartupLatencyUsesShortMessage(t *testing.T) {
 }
 
 func TestPaperSweepBounds(t *testing.T) {
-	t3d := PaperSizes(machine.T3D())
+	t3d := paper.MachineSizes(machine.T3D().Name())
 	if t3d[len(t3d)-1] != 64 {
 		t.Fatal("T3D sweep must stop at 64 nodes")
 	}
-	sp2 := PaperSizes(machine.SP2())
+	sp2 := paper.MachineSizes(machine.SP2().Name())
 	if sp2[len(sp2)-1] != 128 {
 		t.Fatal("SP2 sweep must reach 128 nodes")
 	}

@@ -53,41 +53,6 @@ func bounce(c *mpi.Comm, buf []byte) {
 	}
 }
 
-// Exchange measures the time of a simultaneous bidirectional exchange of
-// m bytes between two nodes (both send, both receive), in µs.
-func Exchange(mach *machine.Machine, m int, cfg Config) float64 {
-	var sum float64
-	for rep := 0; rep < cfg.Reps; rep++ {
-		cl := machine.NewCluster(mach, 2, cfg.Seed+int64(rep))
-		var elapsed float64
-		err := mpi.RunCluster(cl, func(c *mpi.Comm) {
-			buf := make([]byte, m)
-			peer := 1 - c.Rank()
-			doit := func() {
-				r := c.Irecv(peer, 0)
-				c.Send(peer, 0, buf)
-				r.Wait()
-			}
-			for w := 0; w < cfg.Warmup; w++ {
-				doit()
-			}
-			c.Barrier()
-			start := c.Wtime()
-			for i := 0; i < cfg.K; i++ {
-				doit()
-			}
-			if c.Rank() == 0 {
-				elapsed = (c.Wtime().Sub(start) / sim.Duration(cfg.K)).Micros()
-			}
-		})
-		if err != nil {
-			panic(fmt.Sprintf("measure: exchange %s m=%d: %v", mach.Name(), m, err))
-		}
-		sum += elapsed
-	}
-	return sum / float64(cfg.Reps)
-}
-
 // HockneyFit characterizes a machine's point-to-point path with the
 // Hockney model over the paper's message-length sweep.
 func HockneyFit(mach *machine.Machine, cfg Config) fit.Hockney {

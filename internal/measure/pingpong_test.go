@@ -28,19 +28,6 @@ func TestPingPongLatencyOrdering(t *testing.T) {
 	}
 }
 
-func TestExchangeAtLeastOneWay(t *testing.T) {
-	cfg := Fast()
-	ex := Exchange(machine.SP2(), 16384, cfg)
-	ow := PingPong(machine.SP2(), 16384, cfg)
-	if ex <= 0 {
-		t.Fatal("exchange nonpositive")
-	}
-	// A full bidirectional exchange can't beat half a ping-pong.
-	if ex < ow/2 {
-		t.Fatalf("exchange %.1f faster than half a one-way %.1f", ex, ow)
-	}
-}
-
 func TestHockneyFitReasonable(t *testing.T) {
 	cfg := Fast()
 	h := HockneyFit(machine.T3D(), cfg)

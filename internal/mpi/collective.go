@@ -125,17 +125,11 @@ func (c *Comm) enter(op machine.Op) *Comm {
 // the T3D this uses the hardwired AND-tree barrier network; elsewhere a
 // message-based algorithm from the coll package.
 func (c *Comm) Barrier() {
-	name := c.w.algs.Barrier
-	if name == coll.AlgHardware {
-		if c.group == nil {
-			c.w.cluster.HardwareBarrierEnter(c.proc)
-			return
-		}
-		// The hardwired barrier spans the whole partition; a
-		// sub-communicator must fall back to a software tree.
-		name = coll.AlgTree
+	if c.w.algs.Barrier == coll.AlgHardware {
+		c.w.cluster.HardwareBarrierEnter(c.proc)
+		return
 	}
-	lookup(coll.Barriers, name, "barrier")(c.enter(machine.OpBarrier))
+	lookup(coll.Barriers, c.w.algs.Barrier, "barrier")(c.enter(machine.OpBarrier))
 }
 
 // Bcast broadcasts data from root to all processes (MPI_Bcast); every
@@ -191,22 +185,4 @@ func (c *Comm) Allreduce(mine []byte, op ReduceOp, dt Datatype) []byte {
 // returns blocks in rank order, others nil.
 func (c *Comm) Gatherv(root int, mine []byte) [][]byte {
 	return coll.Gatherv(c.enter(machine.OpGather), root, mine)
-}
-
-// Scatterv distributes variable-size blocks from root (MPI_Scatterv).
-func (c *Comm) Scatterv(root int, blocks [][]byte) []byte {
-	return coll.Scatterv(c.enter(machine.OpScatter), root, blocks)
-}
-
-// Alltoallv performs total exchange with per-destination sizes
-// (MPI_Alltoallv).
-func (c *Comm) Alltoallv(blocks [][]byte) [][]byte {
-	return coll.Alltoallv(c.enter(machine.OpAlltoall), blocks)
-}
-
-// ReduceScatter reduces elementwise and leaves block i on rank i
-// (MPI_Reduce_scatter_block). The operation must be commutative, which
-// all predefined ReduceOps are.
-func (c *Comm) ReduceScatter(blocks [][]byte, op ReduceOp, dt Datatype) []byte {
-	return coll.ReduceScatter(c.enter(machine.OpReduce), blocks, op.Combiner(dt))
 }

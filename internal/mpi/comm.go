@@ -6,83 +6,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Comm is a rank's communicator handle — MPI_COMM_WORLD bound to one
-// process, or a sub-communicator produced by Split. It implements
-// coll.Transport, so the collective algorithms run directly over it with
-// per-operation costs read from the machine model's resolved tables
-// (machine.Costs). Group-relative ranks are translated to world ranks at
-// the wire, and each communicator stamps its messages with a context ID
-// so traffic in different communicators can never match.
+// Comm is a rank's handle on MPI_COMM_WORLD, the only communicator the
+// paper's benchmarks use. It implements coll.Transport, so the
+// collective algorithms run directly over it with per-operation costs
+// read from the machine model's resolved tables (machine.Costs).
 type Comm struct {
 	w       *World
-	rank    int // world rank of this process
+	rank    int
 	proc    *sim.Proc
 	opClass machine.Op
 	cost    *machine.Costs // opClass's resolved costs
-
-	group []int       // world ranks of the members, nil for the world
-	myIdx int         // my position in group (== rank when group is nil)
-	ctx   int         // communicator context ID (0 for the world)
-	sh    *commShared // shared by every cost-classed view (see as)
-}
-
-// commShared is what all cost-classed views of one rank's communicator
-// share: its Split counter and the views themselves.
-type commShared struct {
-	splitSeq int
-	views    []Comm
 }
 
 var _ coll.Transport = (*Comm)(nil)
 
-// Rank returns this process's rank within the communicator.
-func (c *Comm) Rank() int {
-	if c.group == nil {
-		return c.rank
-	}
-	return c.myIdx
-}
+// Rank returns this process's rank.
+func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of processes in the communicator.
-func (c *Comm) Size() int {
-	if c.group == nil {
-		return c.w.cluster.Size()
-	}
-	return len(c.group)
-}
-
-// WorldRank returns this process's rank in MPI_COMM_WORLD.
-func (c *Comm) WorldRank() int { return c.rank }
-
-// worldRank translates a communicator-relative rank to a world rank.
-func (c *Comm) worldRank(r int) int {
-	if c.group == nil {
-		return r
-	}
-	return c.group[r]
-}
-
-// localRank translates a world rank back into this communicator, or -1.
-func (c *Comm) localRank(world int) int {
-	if c.group == nil {
-		return world
-	}
-	for i, w := range c.group {
-		if w == world {
-			return i
-		}
-	}
-	return -1
-}
-
-// wireTag namespaces a user/algorithm tag by the communicator context.
-func (c *Comm) wireTag(tag int) int { return c.ctx<<20 | tag }
+// Size returns the number of processes.
+func (c *Comm) Size() int { return len(c.w.ranks) }
 
 // Proc returns the underlying simulated process.
 func (c *Comm) Proc() *sim.Proc { return c.proc }
-
-// Cluster returns the cluster this world runs on.
-func (c *Comm) Cluster() *machine.Cluster { return c.w.cluster }
 
 // Wtime returns this node's wall-clock reading — like MPI_Wtime it uses
 // the node's own unsynchronized clock, so differences are only
@@ -96,21 +41,21 @@ func (c *Comm) Compute(d sim.Duration) { c.proc.Sleep(d) }
 
 // as returns a view of the communicator with the cost class set, under
 // which Send/Recv/Combine charge that operation's calibrated overheads.
-// A view is a shallow copy made once per communicator and op, then
-// reused. Every field but opClass and cost is fixed, so a view left
-// behind when the views slice grows stays equivalent to its copy.
+// A view is a shallow copy made once per rank and op, then reused.
+// Every field but opClass and cost is fixed, so a view left behind when
+// the views slice grows stays equivalent to its copy.
 func (c *Comm) as(op machine.Op) *Comm {
 	if c.opClass == op {
 		return c
 	}
-	sh := c.sh
-	for i := range sh.views {
-		if sh.views[i].opClass == op {
-			return &sh.views[i]
+	st := &c.w.ranks[c.rank]
+	for i := range st.views {
+		if st.views[i].opClass == op {
+			return &st.views[i]
 		}
 	}
-	sh.views = append(sh.views, *c)
-	v := &sh.views[len(sh.views)-1]
+	st.views = append(st.views, *c)
+	v := &st.views[len(st.views)-1]
 	v.opClass, v.cost = op, c.w.cluster.Machine().Costs(op)
 	return v
 }
@@ -123,7 +68,11 @@ func (c *Comm) as(op machine.Op) *Comm {
 // machines — without this a looping sender would pre-book the network
 // arbitrarily far ahead.
 func (c *Comm) Send(dst, tag int, data []byte) {
-	txDone := c.inject(dst, tag, data)
+	cl := c.w.cluster
+	c.proc.Sleep(cl.Jitter(c.cost.Send))
+	txDone, arrive := cl.Net().Transfer(
+		c.rank, dst, len(data), c.proc.Now(), c.cost.InjMBs(len(data)))
+	c.w.deliverAt(arrive, dst, envelope{src: c.rank, tag: tag, data: data})
 	if len(data) > c.w.eagerLimit {
 		if wait := txDone.Sub(c.proc.Now()); wait > 0 {
 			c.proc.Sleep(wait)
@@ -131,65 +80,17 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 	}
 }
 
-// inject charges the sender's per-message overhead, books the transfer
-// on the fabric and schedules the message's delivery at dst. It returns
-// the time injection completes, when the send buffer is free again.
-func (c *Comm) inject(dst, tag int, data []byte) (txDone sim.Time) {
-	cl := c.w.cluster
-	wdst := c.worldRank(dst)
-	c.proc.Sleep(cl.Jitter(c.cost.Send))
-	txDone, arrive := cl.Net().TransferDetail(
-		c.rank, wdst, len(data), c.proc.Now(), c.cost.InjMBs(len(data)))
-	c.w.deliverAt(arrive, wdst, envelope{src: c.rank, tag: c.wireTag(tag), data: data})
-	return txDone
-}
-
-// Recv blocks until a message matching (src, tag) — either may be a
-// wildcard — has arrived and been processed, and returns its payload.
+// Recv blocks until the message from src with the given tag has arrived
+// and been processed, and returns its payload. Matching is exact: the
+// paper's benchmarks name both source and tag on every receive.
 func (c *Comm) Recv(src, tag int) []byte {
-	e := c.recvEnvelope(src, tag)
-	return e.data
-}
-
-// RecvFrom is Recv returning the actual source (communicator-relative),
-// for AnySource receives.
-func (c *Comm) RecvFrom(src, tag int) (data []byte, from int) {
-	e := c.recvEnvelope(src, tag)
-	return e.data, c.localRank(e.src)
-}
-
-func (c *Comm) recvEnvelope(src, tag int) envelope {
-	cl := c.w.cluster
 	st := &c.w.ranks[c.rank]
-	wsrc, wtag := c.wireMatch(src, tag)
-	e, ok := st.take(wsrc, wtag)
+	e, ok := st.take(src, tag)
 	if !ok {
-		req := st.post(cl.Kernel(), wsrc, wtag, "recv")
-		e = req.done.Await(c.proc)
-		st.release(req)
+		e = st.post(c.w.cluster.Kernel(), src, tag).Await(c.proc)
 	}
-	c.proc.Sleep(cl.Jitter(c.cost.Recv))
-	return e
-}
-
-// wireMatch translates a receive's (src, tag), either possibly a
-// wildcard, into the world rank and wire tag messages carry.
-func (c *Comm) wireMatch(src, tag int) (wsrc, wtag int) {
-	wsrc, wtag = src, tag
-	if src != AnySource {
-		wsrc = c.worldRank(src)
-	}
-	if tag != AnyTag {
-		wtag = c.wireTag(tag)
-	}
-	return wsrc, wtag
-}
-
-// Sendrecv exchanges messages with two peers (possibly the same):
-// it injects the outgoing message, then blocks for the incoming one.
-func (c *Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) []byte {
-	c.Send(dst, sendTag, data)
-	return c.Recv(src, recvTag)
+	c.proc.Sleep(c.w.cluster.Jitter(c.cost.Recv))
+	return e.data
 }
 
 // Combine implements coll.Transport: it applies the reduction step and

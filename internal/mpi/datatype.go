@@ -1,9 +1,13 @@
 // Package mpi implements the subset of the Message Passing Interface the
-// paper's experiments use — ranks, tagged point-to-point messaging with
-// posted/unexpected matching, wall-clock time on unsynchronized node
-// clocks, and the seven collective operations of Table 1 (plus allgather
-// and allreduce) — running over the machine simulator. One process per
-// node, as in the paper's runs.
+// paper's experiments use, running over the machine simulator: the world
+// communicator only (the paper times every collective over
+// MPI_COMM_WORLD on p nodes, one process per node), blocking tagged
+// point-to-point messaging whose receives name both source and tag
+// exactly, wall-clock time on unsynchronized node clocks, and the seven
+// collective operations of Table 1 (plus allgather, allreduce and the
+// gatherv the STAP pipeline uses), with MPI_SUM over MPI_FLOAT as the
+// one reduction (§2: "the data type of the message elements is always
+// MPI_FLOAT").
 package mpi
 
 import (
@@ -26,14 +30,9 @@ func (d Datatype) Size() int { return d.size }
 // Count returns the number of elements in a buffer of len(b) bytes.
 func (d Datatype) Count(b []byte) int { return len(b) / d.size }
 
-// The datatypes used in this study. The paper's experiments use
-// single-precision floats exclusively (§2: "the data type of the message
-// elements is always MPI_FLOAT").
-var (
-	Float = Datatype{"MPI_FLOAT", 4}
-	Int32 = Datatype{"MPI_INT", 4}
-	Byte  = Datatype{"MPI_BYTE", 1}
-)
+// Float is MPI_FLOAT, the only datatype of this study: the paper's
+// experiments use single-precision floats exclusively.
+var Float = Datatype{"MPI_FLOAT", 4}
 
 // EncodeFloats packs float32 values little-endian, the wire format of
 // all numeric buffers in this package.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/coll"
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
@@ -42,26 +43,6 @@ func TestP2PTagMatching(t *testing.T) {
 	}
 	if string(first) != "one" || string(second) != "two" {
 		t.Fatalf("tag matching failed: %q %q", first, second)
-	}
-}
-
-func TestP2PWildcards(t *testing.T) {
-	var from int
-	var data []byte
-	err := Run(machine.Paragon(), 3, 1, func(c *Comm) {
-		switch c.Rank() {
-		case 2:
-			data, from = c.RecvFrom(AnySource, AnyTag)
-		case 1:
-			c.Proc().Sleep(5 * sim.Microsecond)
-			c.Send(2, 9, []byte("late"))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if from != 1 || string(data) != "late" {
-		t.Fatalf("wildcard recv: from=%d data=%q", from, data)
 	}
 }
 
@@ -319,25 +300,13 @@ func TestScanPrefixSums(t *testing.T) {
 	}
 }
 
-func TestAllreduceMaxMinProd(t *testing.T) {
+func TestAllreduceSumFloats(t *testing.T) {
 	p := 8
 	err := Run(machine.T3D(), p, 1, func(c *Comm) {
-		r := float32(c.Rank() + 1)
-		if got := DecodeFloats(c.Allreduce(EncodeFloats([]float32{r}), Max, Float))[0]; got != 8 {
-			t.Errorf("max = %v", got)
-		}
-		if got := DecodeFloats(c.Allreduce(EncodeFloats([]float32{r}), Min, Float))[0]; got != 1 {
-			t.Errorf("min = %v", got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prod over int32.
-	err = Run(machine.T3D(), 4, 1, func(c *Comm) {
-		v := EncodeInts([]int32{int32(c.Rank() + 1)})
-		if got := DecodeInts(c.Allreduce(v, Prod, Int32))[0]; got != 24 {
-			t.Errorf("prod = %v", got)
+		mine := EncodeFloats([]float32{float32(c.Rank() + 1), 1})
+		got := DecodeFloats(c.Allreduce(mine, Sum, Float))
+		if got[0] != float32(p*(p+1)/2) || got[1] != float32(p) {
+			t.Errorf("rank %d: allreduce sum = %v", c.Rank(), got)
 		}
 	})
 	if err != nil {
@@ -436,5 +405,44 @@ func TestDatatypeSizes(t *testing.T) {
 	}
 	if Float.Count(make([]byte, 64)) != 16 {
 		t.Fatal("count wrong")
+	}
+}
+
+func TestGathervOnSim(t *testing.T) {
+	p := 6
+	err := Run(machine.T3D(), p, 1, func(c *Comm) {
+		// Rank r sends r bytes.
+		out := c.Gatherv(0, bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()))
+		if c.Rank() != 0 {
+			return
+		}
+		for i, b := range out {
+			if !bytes.Equal(b, bytes.Repeat([]byte{byte(i)}, i)) {
+				t.Errorf("gatherv block %d = %v", i, b)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReduceScatterOnSim runs coll.ReduceScatter, which the long-message
+// allreduce uses, over the simulated communicator.
+func TestReduceScatterOnSim(t *testing.T) {
+	p := 8
+	err := Run(machine.SP2(), p, 1, func(c *Comm) {
+		blocks := make([][]byte, p)
+		for i := range blocks {
+			blocks[i] = EncodeFloats([]float32{float32(c.Rank() + i)})
+		}
+		got := DecodeFloats(coll.ReduceScatter(c, blocks, Sum.Combiner(Float)))
+		want := float32(p*(p-1)/2 + p*c.Rank())
+		if got[0] != want {
+			t.Errorf("rank %d: %v, want %v", c.Rank(), got[0], want)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestStressRandomCollectiveSequences runs randomized SPMD programs —
-// mixed collectives, varying sizes, sub-communicators — and checks both
+// mixed collectives and varying sizes — and checks both
 // completion (no deadlock under any interleaving the schedule produces)
 // and arithmetic correctness of every reduction. The op sequence is
 // generated from a shared seed so all ranks agree on the program, as
@@ -80,51 +80,23 @@ func TestStressRandomCollectiveSequences(t *testing.T) {
 	}
 }
 
-// TestStressSubcommunicatorPipelines splits the world repeatedly and
-// runs collectives at every level concurrently.
-func TestStressSubcommunicatorPipelines(t *testing.T) {
-	for _, mach := range machine.All() {
-		err := Run(mach, 16, 9, func(c *Comm) {
-			for round := 0; round < 3; round++ {
-				sub := c.Split(c.Rank()%(round+2), c.Rank())
-				v := EncodeFloats([]float32{1})
-				n := DecodeFloats(sub.Allreduce(v, Sum, Float))[0]
-				if int(n) != sub.Size() {
-					t.Errorf("%s round %d: counted %v members, size %d", mach.Name(), round, n, sub.Size())
-				}
-				sub.Barrier()
-				// World-level collective interleaved with subgroup work.
-				c.Barrier()
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestStressManyOutstandingRequests posts many nonblocking operations
-// before completing any.
-func TestStressManyOutstandingRequests(t *testing.T) {
+// TestStressManyOutstandingMessages has every rank send many eager
+// messages before receiving any, then take them with exact receives in
+// the reverse of their send order, so each receive searches a long
+// unexpected queue.
+func TestStressManyOutstandingMessages(t *testing.T) {
 	const p, nmsg = 8, 20
 	err := Run(machine.SP2(), p, 3, func(c *Comm) {
-		var reqs []*Request
 		for i := 0; i < nmsg; i++ {
 			dst := (c.Rank() + 1 + i%(p-1)) % p
-			reqs = append(reqs, c.Isend(dst, i, []byte{byte(i)}))
+			c.Send(dst, i, []byte{byte(i)})
 		}
-		// Receive everything addressed to me, any order of posting.
-		var recvs []*Request
-		for i := 0; i < nmsg; i++ {
+		for i := nmsg - 1; i >= 0; i-- {
 			src := (c.Rank() - 1 - i%(p-1) + 2*p) % p
-			recvs = append(recvs, c.Irecv(src, i))
-		}
-		for i, r := range recvs {
-			if got := r.Wait(); got[0] != byte(i) {
+			if got := c.Recv(src, i); got[0] != byte(i) {
 				t.Errorf("rank %d msg %d: payload %v", c.Rank(), i, got)
 			}
 		}
-		c.Waitall(reqs...)
 	})
 	if err != nil {
 		t.Fatal(err)

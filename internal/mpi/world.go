@@ -14,75 +14,48 @@ type envelope struct {
 	data []byte
 }
 
-// recvReq is a posted receive awaiting a matching message. Each rank
-// recycles its own (rankState.post and release), future included.
-type recvReq struct {
-	src  int // or AnySource
-	tag  int // or AnyTag
-	done sim.Future[envelope]
-	next *recvReq // free-list link while recycled
-}
-
-// Wildcards for Recv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // rankState is the per-node messaging engine: the unexpected-message
-// queue and the posted-receive queue, matched in arrival/post order as
-// MPI requires, plus the rank's recycled receives.
+// queue, matched in arrival order as MPI requires, and the rank's posted
+// receive. Receives block, so a rank waits on at most one at a time. It
+// also holds the rank's cost-classed communicator views (see Comm.as).
 type rankState struct {
 	unexpected []envelope
-	posted     []*recvReq
-	free       *recvReq // recycled receives
-	first      recvReq  // the rank's first receive: blocking code never needs another
+	recv       postedRecv
+	views      []Comm
 }
 
-// post queues a receive for (src, tag) in wire terms, named name in
-// deadlock reports. The caller awaits its future and then releases it.
-func (rs *rankState) post(k *sim.Kernel, src, tag int, name string) *recvReq {
-	req := rs.free
-	if req == nil {
-		req = new(recvReq)
-	} else {
-		rs.free = req.next
-		req.next = nil
-	}
-	req.src, req.tag = src, tag
-	req.done.Init(k, name)
-	rs.posted = append(rs.posted, req)
-	return req
+// postedRecv is a receive awaiting the message from src with tag.
+type postedRecv struct {
+	src, tag int
+	waiting  bool
+	done     sim.Future[envelope]
 }
 
-// release recycles a receive whose future has resolved and been read.
-func (rs *rankState) release(req *recvReq) {
-	*req = recvReq{next: rs.free}
-	rs.free = req
+// post makes the rank's receive wait for the message from src with tag
+// and returns the future the message resolves.
+func (rs *rankState) post(k *sim.Kernel, src, tag int) *sim.Future[envelope] {
+	r := &rs.recv
+	r.src, r.tag, r.waiting = src, tag, true
+	r.done.Init(k, "recv")
+	return &r.done
 }
 
-func match(src, tag int, e envelope) bool {
-	return (src == AnySource || src == e.src) && (tag == AnyTag || tag == e.tag)
-}
-
-// deliver hands an arrived message to the first matching posted receive,
+// deliver hands an arrived message to the posted receive it matches,
 // or queues it as unexpected.
 func (rs *rankState) deliver(e envelope) {
-	for i, req := range rs.posted {
-		if match(req.src, req.tag, e) {
-			rs.posted = append(rs.posted[:i], rs.posted[i+1:]...)
-			req.done.Resolve(e)
-			return
-		}
+	if r := &rs.recv; r.waiting && r.src == e.src && r.tag == e.tag {
+		r.waiting = false
+		r.done.Resolve(e)
+		return
 	}
 	rs.unexpected = append(rs.unexpected, e)
 }
 
-// take removes and returns the first unexpected message matching
-// (src, tag), if any.
+// take removes and returns the first unexpected message from src with
+// tag, if any.
 func (rs *rankState) take(src, tag int) (envelope, bool) {
 	for i, e := range rs.unexpected {
-		if match(src, tag, e) {
+		if e.src == src && e.tag == tag {
 			rs.unexpected = append(rs.unexpected[:i], rs.unexpected[i+1:]...)
 			return e, true
 		}
@@ -210,12 +183,10 @@ func RunWith(cl *machine.Cluster, opt RunOptions, body func(c *Comm)) error {
 	// views (the measured operation and the barrier) carved from one
 	// slab.
 	comms := make([]Comm, p)
-	shared := make([]commShared, p)
 	views := make([]Comm, 2*p)
 	for r := range w.ranks {
-		w.ranks[r].free = &w.ranks[r].first
-		shared[r].views = views[2*r : 2*r : 2*r+2]
-		comms[r] = Comm{w: w, rank: r, opClass: machine.OpP2P, cost: p2p, sh: &shared[r]}
+		w.ranks[r].views = views[2*r : 2*r : 2*r+2]
+		comms[r] = Comm{w: w, rank: r, opClass: machine.OpP2P, cost: p2p}
 		c := &comms[r]
 		cl.Kernel().Go(rankName(r), func(proc *sim.Proc) {
 			c.proc = proc

@@ -51,11 +51,6 @@ type Network struct {
 	// pair's route is computed into on its first use.
 	routes routeMemo
 	path   []topology.LinkID
-
-	// Stats
-	transfers   uint64
-	bytesMoved  uint64
-	contendedNs sim.Duration
 }
 
 // New returns a network over the given topology, which must fit the
@@ -146,42 +141,20 @@ func (n *Network) Topology() topology.Topology { return n.topo }
 // Params returns the fabric constants.
 func (n *Network) Params() Params { return n.p }
 
-// Transfers returns the number of completed Transfer calls.
-func (n *Network) Transfers() uint64 { return n.transfers }
-
-// BytesMoved returns the cumulative payload bytes transferred.
-func (n *Network) BytesMoved() uint64 { return n.bytesMoved }
-
-// ContentionTime returns the cumulative time transfers spent waiting for
-// busy links or adapters.
-func (n *Network) ContentionTime() sim.Duration { return n.contendedNs }
-
-// Transfer reserves the path from src to dst for a message of size bytes
-// that is ready to inject at time ready, and returns the time the last
-// byte arrives at dst. It updates link occupancy so later transfers
-// contend realistically. size 0 models a control packet (header only).
+// Transfer reserves the path from src to dst for a message of size
+// bytes that is ready to inject at time ready, and returns the time
+// injection completes at src (when a blocking sender's buffer is free)
+// and the time the last byte arrives at dst. It updates link occupancy
+// so later transfers contend realistically. size 0 models a control
+// packet (header only).
 //
-// Transfer is a pure state update on the occupancy table; callers embed
-// the returned arrival time in a delivery event.
-func (n *Network) Transfer(src, dst int, size int, ready sim.Time) sim.Time {
-	return n.TransferRate(src, dst, size, ready, n.p.InjectionMBs)
-}
-
-// TransferRate is Transfer with an explicit effective injection rate,
-// used by the MPI layer because each collective's code path achieves a
-// different per-node rate (protocol processing and copies differ). The
-// rate is still capped by the physical link bandwidth.
-func (n *Network) TransferRate(src, dst int, size int, ready sim.Time, injMBs float64) sim.Time {
-	_, arrive := n.TransferDetail(src, dst, size, ready, injMBs)
-	return arrive
-}
-
-// TransferDetail is TransferRate also returning the time injection
-// completes at the source (when a blocking sender's buffer is free).
-func (n *Network) TransferDetail(src, dst int, size int, ready sim.Time, injMBs float64) (txDone, arrive sim.Time) {
-	if injMBs <= 0 {
-		injMBs = n.p.InjectionMBs
-	}
+// injMBs is the effective injection rate, which the MPI layer passes
+// per operation because each collective's code path achieves a
+// different per-node rate (protocol processing and copies differ); it
+// must be positive, and the stream is still capped by the physical link
+// bandwidth. Transfer is a pure state update on the occupancy table;
+// callers embed the returned arrival time in a delivery event.
+func (n *Network) Transfer(src, dst int, size int, ready sim.Time, injMBs float64) (txDone, arrive sim.Time) {
 	if src == dst {
 		// Intra-node: a memory copy at injection rate, no network.
 		done := ready.Add(sim.PerByte(int64(size), injMBs))
@@ -215,9 +188,6 @@ func (n *Network) TransferDetail(src, dst int, size int, ready sim.Time, injMBs 
 			start = n.links[l]
 		}
 	}
-	if start > ready {
-		n.contendedNs += start.Sub(ready)
-	}
 
 	hop := n.p.HopLatency
 	// Head reaches dst after crossing every hop; body streams behind it.
@@ -233,9 +203,6 @@ func (n *Network) TransferDetail(src, dst int, size int, ready sim.Time, injMBs 
 		n.links[l] = busyFrom.Add(serLink)
 	}
 	n.nicRx[dst] = start.Add(sim.Duration(len(path)) * hop).Add(serEnd)
-
-	n.transfers++
-	n.bytesMoved += uint64(size)
 	return start.Add(serEnd), done
 }
 
@@ -253,8 +220,8 @@ func (n *Network) UncontendedLatency(src, dst int, size int) sim.Duration {
 	return sim.Duration(hops)*n.p.HopLatency + n.p.WireLatency + sim.PerByte(int64(size), n.bottleneckMBs())
 }
 
-// Reset clears all occupancy state and statistics, as between benchmark
-// repetitions on a dedicated machine.
+// Reset clears all occupancy state, as between benchmark repetitions on
+// a dedicated machine.
 func (n *Network) Reset() {
 	for i := range n.links {
 		n.links[i] = 0
@@ -265,9 +232,6 @@ func (n *Network) Reset() {
 	for i := range n.nicRx {
 		n.nicRx[i] = 0
 	}
-	n.transfers = 0
-	n.bytesMoved = 0
-	n.contendedNs = 0
 }
 
 // String describes the fabric.

@@ -17,10 +17,17 @@ func testNet() *Network {
 	})
 }
 
+// arrive books a transfer at the fabric's own injection rate and
+// returns its arrival time.
+func arrive(n *Network, src, dst, size int, ready sim.Time) sim.Time {
+	_, at := n.Transfer(src, dst, size, ready, n.Params().InjectionMBs)
+	return at
+}
+
 func TestUncontendedWormholeFormula(t *testing.T) {
 	n := testNet()
 	// 2 hops * 100ns + 1000 bytes * 10ns/B = 200 + 10000 = 10200ns.
-	got := n.Transfer(0, 1, 1000, 0)
+	got := arrive(n, 0, 1, 1000, 0)
 	if got != 10200 {
 		t.Fatalf("arrival = %d, want 10200", got)
 	}
@@ -31,19 +38,20 @@ func TestUncontendedWormholeFormula(t *testing.T) {
 
 func TestZeroByteTransferIsHeaderOnly(t *testing.T) {
 	n := testNet()
-	if got := n.Transfer(0, 1, 0, 0); got != 200 {
+	if got := arrive(n, 0, 1, 0, 0); got != 200 {
 		t.Fatalf("control packet arrival = %d, want 200", got)
 	}
 }
 
 func TestIntraNodeTransferSkipsNetwork(t *testing.T) {
 	n := testNet()
-	got := n.Transfer(3, 3, 1000, 50)
+	got := arrive(n, 3, 3, 1000, 50)
 	if got != 50+10000 {
 		t.Fatalf("intra-node arrival = %d, want 10050", got)
 	}
-	if n.Transfers() != 0 {
-		t.Fatal("intra-node copy should not count as a network transfer")
+	// The copy occupies no port or link: node 3's next send leaves at once.
+	if got := arrive(n, 3, 4, 1000, 0); got != 10200 {
+		t.Fatalf("send after an intra-node copy arrives at %d, want 10200", got)
 	}
 }
 
@@ -51,8 +59,8 @@ func TestInjectionPortSerializesSends(t *testing.T) {
 	n := testNet()
 	// Two back-to-back sends from node 0 to different destinations must
 	// serialize at node 0's injection port.
-	a := n.Transfer(0, 1, 1000, 0)
-	b := n.Transfer(0, 2, 1000, 0)
+	a := arrive(n, 0, 1, 1000, 0)
+	b := arrive(n, 0, 2, 1000, 0)
 	if a != 10200 {
 		t.Fatalf("first arrival %d", a)
 	}
@@ -65,8 +73,8 @@ func TestInjectionPortSerializesSends(t *testing.T) {
 
 func TestEjectionPortSerializesReceives(t *testing.T) {
 	n := testNet()
-	a := n.Transfer(1, 0, 1000, 0)
-	b := n.Transfer(2, 0, 1000, 0)
+	a := arrive(n, 1, 0, 1000, 0)
+	b := arrive(n, 2, 0, 1000, 0)
 	if a != 10200 {
 		t.Fatalf("first arrival %d", a)
 	}
@@ -77,13 +85,13 @@ func TestEjectionPortSerializesReceives(t *testing.T) {
 
 func TestDisjointPairsDoNotContend(t *testing.T) {
 	n := testNet()
-	a := n.Transfer(0, 1, 1000, 0)
-	b := n.Transfer(2, 3, 1000, 0)
+	a := arrive(n, 0, 1, 1000, 0)
+	b := arrive(n, 2, 3, 1000, 0)
 	if a != b {
 		t.Fatalf("disjoint transfers should complete together: %d vs %d", a, b)
 	}
-	if n.ContentionTime() != 0 {
-		t.Fatalf("unexpected contention: %v", n.ContentionTime())
+	if want := sim.Time(n.UncontendedLatency(2, 3, 1000)); b != want {
+		t.Fatalf("disjoint transfer arrived at %d, want the uncontended %d", b, want)
 	}
 }
 
@@ -92,13 +100,13 @@ func TestSharedMeshLinkContends(t *testing.T) {
 	m := topology.NewMesh2D(4, 1) // a 4-node chain
 	n := New(k, m, Params{HopLatency: 100, LinkBandwidthMBs: 100, InjectionMBs: 100})
 	// 0→3 and 1→3 share links (1→2, 2→3).
-	a := n.Transfer(0, 3, 1000, 0)
-	b := n.Transfer(1, 3, 1000, 0)
+	a := arrive(n, 0, 3, 1000, 0)
+	b := arrive(n, 1, 3, 1000, 0)
 	if b <= a {
 		t.Fatalf("shared-link transfers must serialize: %d then %d", a, b)
 	}
-	if n.ContentionTime() == 0 {
-		t.Fatal("contention not recorded")
+	if free := sim.Time(n.UncontendedLatency(1, 3, 1000)); b <= free {
+		t.Fatalf("shared-link transfer arrived at %d, no later than the uncontended %d", b, free)
 	}
 }
 
@@ -109,37 +117,25 @@ func TestBottleneckIsMinOfLinkAndInjection(t *testing.T) {
 		LinkBandwidthMBs: 1000,
 		InjectionMBs:     10, // 100 ns/byte — the bottleneck
 	})
-	if got := n.Transfer(0, 1, 100, 0); got != 10000 {
+	if got := arrive(n, 0, 1, 100, 0); got != 10000 {
 		t.Fatalf("arrival = %d, want 10000 (injection-limited)", got)
 	}
 }
 
 func TestReadyTimeRespected(t *testing.T) {
 	n := testNet()
-	if got := n.Transfer(0, 1, 0, 5000); got != 5200 {
+	if got := arrive(n, 0, 1, 0, 5000); got != 5200 {
 		t.Fatalf("arrival = %d, want 5200", got)
 	}
 }
 
 func TestResetClearsState(t *testing.T) {
 	n := testNet()
-	n.Transfer(0, 1, 4096, 0)
-	n.Transfer(0, 2, 4096, 0)
+	arrive(n, 0, 1, 4096, 0)
+	arrive(n, 0, 2, 4096, 0)
 	n.Reset()
-	if n.Transfers() != 0 || n.BytesMoved() != 0 || n.ContentionTime() != 0 {
-		t.Fatal("stats not cleared")
-	}
-	if got := n.Transfer(0, 1, 1000, 0); got != 10200 {
+	if got := arrive(n, 0, 1, 1000, 0); got != 10200 {
 		t.Fatalf("occupancy not cleared: %d", got)
-	}
-}
-
-func TestStatsAccumulate(t *testing.T) {
-	n := testNet()
-	n.Transfer(0, 1, 100, 0)
-	n.Transfer(1, 2, 200, 0)
-	if n.Transfers() != 2 || n.BytesMoved() != 300 {
-		t.Fatalf("transfers=%d bytes=%d", n.Transfers(), n.BytesMoved())
 	}
 }
 
@@ -148,7 +144,7 @@ func TestWireLatencyAdds(t *testing.T) {
 	n := New(k, topology.NewCrossbar(4), Params{
 		HopLatency: 100, LinkBandwidthMBs: 100, InjectionMBs: 100, WireLatency: 1000,
 	})
-	if got := n.Transfer(0, 1, 0, 0); got != 1200 {
+	if got := arrive(n, 0, 1, 0, 0); got != 1200 {
 		t.Fatalf("arrival = %d, want 1200", got)
 	}
 }
@@ -161,7 +157,7 @@ func TestTorusManyToOneFunnels(t *testing.T) {
 	n := New(k, to, Params{HopLatency: 20, LinkBandwidthMBs: 300, InjectionMBs: 100})
 	var last sim.Time
 	for src := 1; src < 8; src++ {
-		if got := n.Transfer(src, 0, 10000, 0); got > last {
+		if got := arrive(n, src, 0, 10000, 0); got > last {
 			last = got
 		}
 	}
@@ -184,7 +180,7 @@ func TestPropertyArrivalNeverBeforeUncontended(t *testing.T) {
 			src := int(srcs[i]) % to.Nodes()
 			dst := int(dsts[i]) % to.Nodes()
 			size := int(sizes[i])
-			arrive := n.Transfer(src, dst, size, ready)
+			arrive := arrive(n, src, dst, size, ready)
 			if src != dst {
 				min := ready.Add(n.UncontendedLatency(src, dst, size))
 				if arrive < min {
@@ -210,9 +206,9 @@ func TestPropertyArrivalMonotoneInReadyTime(t *testing.T) {
 			a, b = b, a
 		}
 		n.Reset()
-		t1 := n.Transfer(0, 5, int(size), a)
+		t1 := arrive(n, 0, 5, int(size), a)
 		n.Reset()
-		t2 := n.Transfer(0, 5, int(size), b)
+		t2 := arrive(n, 0, 5, int(size), b)
 		return t2 >= t1
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -283,7 +279,7 @@ func TestRouteMemoSizing(t *testing.T) {
 	net := New(sim.New(1), topo, prm)
 	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
-			net.Transfer(src, dst, 64, 0)
+			arrive(net, src, dst, 64, 0)
 		}
 	}
 	if got, want := cap(net.routes.chunks[0]), 4*3*topo.Diameter(); len(net.routes.chunks) != 1 || got != want {

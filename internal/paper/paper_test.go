@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fit"
 	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // These tests verify that our transcription of Table 3 is internally
@@ -192,6 +193,34 @@ func TestScanParagonBeatsT3DLatencyAt16Plus(t *testing.T) {
 	for _, p := range []int{16, 32, 64} {
 		if par.EvalStartup(p) >= t3d.EvalStartup(p) {
 			t.Errorf("Paragon scan startup should beat T3D at p=%d", p)
+		}
+	}
+}
+
+// TestHopLatenciesMatchPaper checks every preset's per-hop latency
+// against §4's.
+func TestHopLatenciesMatchPaper(t *testing.T) {
+	if len(HopLatenciesNs) != len(machine.All()) {
+		t.Fatalf("§4 quotes %d hop latencies for %d machines", len(HopLatenciesNs), len(machine.All()))
+	}
+	for _, m := range machine.All() {
+		want, ok := HopLatenciesNs[m.Name()]
+		if got := m.Params().Net.HopLatency; !ok || got != sim.Duration(want) {
+			t.Errorf("%s hop latency = %v, want %d ns", m.Name(), got, want)
+		}
+	}
+}
+
+// TestLinkBandwidthsMatchPaper checks every preset's raw link bandwidth
+// against §5's.
+func TestLinkBandwidthsMatchPaper(t *testing.T) {
+	if len(NetworkBandwidthsMBs) != len(machine.All()) {
+		t.Fatalf("§5 quotes %d link bandwidths for %d machines", len(NetworkBandwidthsMBs), len(machine.All()))
+	}
+	for _, m := range machine.All() {
+		want, ok := NetworkBandwidthsMBs[m.Name()]
+		if got := m.Params().Net.LinkBandwidthMBs; !ok || got != want {
+			t.Errorf("%s link bandwidth = %v, want %v MB/s", m.Name(), got, want)
 		}
 	}
 }

@@ -3,8 +3,8 @@ package sim
 import "sync/atomic"
 
 // Process-wide kernel counters behind a runtime toggle — no build tag.
-// Every kernel always keeps its own per-drive tallies (Kernel.Events
-// and the wakeup count are plain fields the scheduler already touches);
+// Every kernel always keeps its own per-drive tallies (its executed-
+// event and wakeup counts are plain fields the scheduler already touches);
 // when the toggle is on, each completed drive flushes its delta into
 // these process totals with two atomic adds. The per-event hot path
 // never pays: disabled or enabled, the cost lives at drive granularity,
@@ -18,9 +18,6 @@ var (
 // EnableCounters switches process-wide kernel counting on or off.
 // Drives completed while disabled are not retroactively counted.
 func EnableCounters(on bool) { countersOn.Store(on) }
-
-// CountersEnabled reports the toggle state.
-func CountersEnabled() bool { return countersOn.Load() }
 
 // KernelEvents returns the process-wide executed-event total
 // accumulated while counting was enabled.

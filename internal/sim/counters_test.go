@@ -36,8 +36,8 @@ func TestProcessWideCounters(t *testing.T) {
 	if perEvents == 0 || perWakeups == 0 {
 		t.Fatalf("enabled drive counted nothing: events +%d wakeups +%d", perEvents, perWakeups)
 	}
-	if perEvents != k.Events() {
-		t.Fatalf("flushed events %d, kernel executed %d", perEvents, k.Events())
+	if perEvents != k.executed {
+		t.Fatalf("flushed events %d, kernel executed %d", perEvents, k.executed)
 	}
 
 	// A second identical drive doubles the totals exactly — the flush

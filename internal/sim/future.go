@@ -14,26 +14,12 @@ type Future[T any] struct {
 	name     string
 }
 
-// NewFuture returns an unresolved future on kernel k. The name is used
-// in deadlock reports.
-func NewFuture[T any](k *Kernel, name string) *Future[T] {
-	f := new(Future[T])
-	f.Init(k, name)
-	return f
-}
-
-// Init makes f an unresolved future on kernel k, as NewFuture does, so a
-// future embedded by value in a recycled object can be reused once its
-// waiters have resumed.
+// Init makes f an unresolved future on kernel k, named name in deadlock
+// reports. A future is embedded by value in the object that owns it;
+// Init also re-arms one whose waiters have resumed, for reuse.
 func (f *Future[T]) Init(k *Kernel, name string) {
 	*f = Future[T]{k: k, name: name, more: f.more[:0]}
 }
-
-// Resolved reports whether the future has been resolved.
-func (f *Future[T]) Resolved() bool { return f.resolved }
-
-// Value returns the resolved value. It is only meaningful after Resolve.
-func (f *Future[T]) Value() T { return f.value }
 
 // Resolve completes the future with v and wakes all waiters. Resolving
 // twice panics: a future models a single event.
@@ -71,6 +57,3 @@ func (f *Future[T]) Await(p *Proc) T {
 
 // Signal is a broadcast condition with no payload.
 type Signal = Future[struct{}]
-
-// NewSignal returns an unresolved signal.
-func NewSignal(k *Kernel, name string) *Signal { return NewFuture[struct{}](k, name) }

@@ -11,7 +11,7 @@ import (
 // spinner generating a steady event stream (so interrupt probes fire)
 // and several processes parked forever on an unresolved future.
 func spinUp(k *Kernel) {
-	f := NewFuture[int](k, "never")
+	f := newFuture[int](k, "never")
 	for i := 0; i < 8; i++ {
 		k.Go("", func(p *Proc) { f.Await(p) })
 	}
@@ -137,7 +137,7 @@ func TestInterruptDeterministicBoundary(t *testing.T) {
 		if err := k.Run(); !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("Run() = %v", err)
 		}
-		return k.Events()
+		return k.executed
 	}
 	a, b := run(), run()
 	if a != b {

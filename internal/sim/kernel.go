@@ -121,9 +121,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// Events returns the number of events executed so far.
-func (k *Kernel) Events() uint64 { return k.executed }
-
 // Schedule arranges for h.Fire to run at absolute time t. Scheduling in
 // the past is an error in the model; it is clamped to the current time.
 // The handler is stored by value, so a recycled handler object costs no
@@ -139,15 +136,6 @@ func (k *Kernel) Schedule(t Time, h Handler) {
 // At schedules fn to run at absolute time t, clamped to the current
 // time like Schedule.
 func (k *Kernel) At(t Time, fn func()) { k.Schedule(t, funcHandler(fn)) }
-
-// After schedules fn to run d after the current time. Negative d is
-// treated as zero.
-func (k *Kernel) After(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	k.At(k.now.Add(d), fn)
-}
 
 // wake schedules p to resume d after the current time, allocating
 // nothing: the wakeup is stored by value in the event queue.

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// newFuture returns an unresolved future on k, named name.
+func newFuture[T any](k *Kernel, name string) *Future[T] {
+	f := new(Future[T])
+	f.Init(k, name)
+	return f
+}
+
 func TestEventOrdering(t *testing.T) {
 	k := New(1)
 	var order []int
@@ -144,7 +151,7 @@ func TestProcPanicSurfacesAsError(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	k := New(1)
-	f := NewSignal(k, "never")
+	f := newFuture[struct{}](k, "never")
 	k.Go("stuck", func(p *Proc) { f.Await(p) })
 	err := k.Run()
 	if err == nil {
@@ -158,8 +165,8 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestDeadlockReportNamesAnonymousProcs(t *testing.T) {
 	k := New(1)
-	k.Go("", func(p *Proc) { NewSignal(k, "x").Await(p) })
-	k.Go("", func(p *Proc) { p.Sleep(1); NewSignal(k, "y").Await(p) })
+	k.Go("", func(p *Proc) { newFuture[struct{}](k, "x").Await(p) })
+	k.Go("", func(p *Proc) { p.Sleep(1); newFuture[struct{}](k, "y").Await(p) })
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
@@ -176,13 +183,13 @@ func TestDeadlockReportNamesAnonymousProcs(t *testing.T) {
 // inline, the rest queued) in arrival order.
 func TestFutureInitReuse(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k, "f")
+	f := newFuture[int](k, "f")
 	var got []int
 	for gen := 0; gen < 2; gen++ {
 		for i := 0; i < 3; i++ {
 			k.Go("", func(p *Proc) { got = append(got, 10*f.Await(p)+i) })
 		}
-		k.After(5, func() { f.Resolve(gen + 1) })
+		k.At(k.Now().Add(5), func() { f.Resolve(gen + 1) })
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +264,7 @@ func TestEventQueueOrder(t *testing.T) {
 
 func TestFutureResolveWakesAllFIFO(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k, "f")
+	f := newFuture[int](k, "f")
 	var got []int
 	for i := 0; i < 5; i++ {
 		k.Go("", func(p *Proc) { got = append(got, f.Await(p)) })
@@ -278,7 +285,7 @@ func TestFutureResolveWakesAllFIFO(t *testing.T) {
 
 func TestFutureAwaitAfterResolveDoesNotBlock(t *testing.T) {
 	k := New(1)
-	f := NewFuture[string](k, "f")
+	f := newFuture[string](k, "f")
 	f.Resolve("done")
 	var got string
 	k.Go("", func(p *Proc) {
@@ -298,7 +305,7 @@ func TestFutureAwaitAfterResolveDoesNotBlock(t *testing.T) {
 
 func TestFutureDoubleResolvePanics(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k, "f")
+	f := newFuture[int](k, "f")
 	f.Resolve(1)
 	defer func() {
 		if recover() == nil {

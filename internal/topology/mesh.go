@@ -50,9 +50,6 @@ func (m *Mesh2D) Nodes() int { return m.nx * m.ny }
 // Links implements Topology.
 func (m *Mesh2D) Links() int { return m.Nodes() * numMeshDirs }
 
-// Dims returns the mesh dimensions.
-func (m *Mesh2D) Dims() (nx, ny int) { return m.nx, m.ny }
-
 // Coord returns the (x, y) coordinate of node id.
 func (m *Mesh2D) Coord(id int) (x, y int) {
 	checkNode(m, id)

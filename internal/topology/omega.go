@@ -72,9 +72,6 @@ func (o *Omega) Nodes() int { return o.n }
 // Stages returns the number of switch stages.
 func (o *Omega) Stages() int { return o.stages }
 
-// Radix returns the switch radix.
-func (o *Omega) Radix() int { return o.radix }
-
 // Links implements Topology: n injection links plus n links after each
 // of the stages (the final stage's outputs are the ejection links).
 func (o *Omega) Links() int { return o.n * (o.stages + 1) }

@@ -42,21 +42,3 @@ func checkNode(t Topology, n int) {
 
 // Hops returns the number of links on the route from src to dst.
 func Hops(t Topology, src, dst int) int { return len(t.AppendRoute(nil, src, dst)) }
-
-// AverageDistance returns the mean hop count over all ordered pairs of
-// distinct nodes. It is used in calibration and reporting.
-func AverageDistance(t Topology) float64 {
-	n := t.Nodes()
-	if n < 2 {
-		return 0
-	}
-	total := 0
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				total += Hops(t, s, d)
-			}
-		}
-	}
-	return float64(total) / float64(n*(n-1))
-}

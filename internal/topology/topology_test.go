@@ -289,7 +289,7 @@ func TestOmegaForNodes(t *testing.T) {
 	}
 	for _, c := range cases {
 		o := OmegaForNodes(c.n)
-		if o.Nodes() != c.nodes || o.Radix() != c.radix {
+		if o.Nodes() != c.nodes || o.radix != c.radix {
 			t.Fatalf("OmegaForNodes(%d) = %s", c.n, o.Name())
 		}
 	}
@@ -318,15 +318,30 @@ func TestCrossbarDisjointRoutes(t *testing.T) {
 	}
 }
 
+// averageDistance returns the mean hop count over all ordered pairs of
+// distinct nodes.
+func averageDistance(t Topology) float64 {
+	n := t.Nodes()
+	total := 0
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				total += Hops(t, s, d)
+			}
+		}
+	}
+	return float64(total) / float64(n*(n-1))
+}
+
 func TestAverageDistance(t *testing.T) {
 	// Crossbar: every distinct pair is 2 hops.
-	if got := AverageDistance(NewCrossbar(8)); got != 2 {
+	if got := averageDistance(NewCrossbar(8)); got != 2 {
 		t.Fatalf("crossbar average distance = %v", got)
 	}
 	// 4x4x4 torus: mean ring distance per dim = (0+1+1+2)/4 = 1, times 3
 	// dims, over ordered pairs of distinct nodes: 64*64*3/ (64*63).
 	want := float64(64*64*3) / float64(64*63)
-	if got := AverageDistance(NewTorus3D(4, 4, 4)); got < want-1e-9 || got > want+1e-9 {
+	if got := averageDistance(NewTorus3D(4, 4, 4)); got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("torus average distance = %v, want %v", got, want)
 	}
 }

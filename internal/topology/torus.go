@@ -50,9 +50,6 @@ func (t *Torus3D) Nodes() int { return t.nx * t.ny * t.nz }
 // Links implements Topology.
 func (t *Torus3D) Links() int { return t.Nodes() * numTorusDirs }
 
-// Dims returns the three torus dimensions.
-func (t *Torus3D) Dims() (nx, ny, nz int) { return t.nx, t.ny, t.nz }
-
 // Coord returns the (x, y, z) coordinate of node id.
 func (t *Torus3D) Coord(id int) (x, y, z int) {
 	checkNode(t, id)
