@@ -147,4 +147,4 @@ func (b *hwBarrier) enter(proc *sim.Proc) {
 }
 
 // Fire implements sim.Handler: it releases the completed generation.
-func (b *hwBarrier) Fire() { b.sigs[b.cur^1].Resolve(struct{}{}) }
+func (b *hwBarrier) Fire() { b.sigs[b.cur^1].Resolve() }

@@ -66,31 +66,48 @@ func (c *Comm) as(op machine.Op) *Comm {
 // pace. Larger messages use rendezvous-style flow control: the call
 // blocks until the data has left the node, as MPI_Send did on all three
 // machines — without this a looping sender would pre-book the network
-// arbitrarily far ahead.
+// arbitrarily far ahead. The rank suspends once for the whole
+// rendezvous; its handler injects the message (see rendezvous.Fire).
 func (c *Comm) Send(dst, tag int, data []byte) {
-	cl := c.w.cluster
-	c.proc.Sleep(cl.Jitter(c.cost.Send))
-	txDone, arrive := cl.Net().Transfer(
-		c.rank, dst, len(data), c.proc.Now(), c.cost.InjMBs(len(data)))
-	c.w.deliverAt(arrive, dst, envelope{src: c.rank, tag: tag, data: data})
-	if len(data) > c.w.eagerLimit {
-		if wait := txDone.Sub(c.proc.Now()); wait > 0 {
-			c.proc.Sleep(wait)
-		}
+	overhead := c.w.cluster.Jitter(c.cost.Send)
+	e := envelope{src: c.rank, tag: tag, data: data}
+	if len(data) <= c.w.eagerLimit {
+		c.proc.Sleep(overhead)
+		c.inject(dst, e)
+		return
 	}
+	s := &c.w.ranks[c.rank].send
+	s.c, s.dst, s.env = c, dst, e
+	k := c.w.cluster.Kernel()
+	k.Schedule(k.Now().Add(overhead), s)
+	c.proc.Suspend("send")
+}
+
+// inject hands e to the network at the current time and schedules its
+// arrival at dst. It returns the time the data has left the node.
+func (c *Comm) inject(dst int, e envelope) sim.Time {
+	cl := c.w.cluster
+	txDone, arrive := cl.Net().Transfer(
+		c.rank, dst, len(e.data), cl.Kernel().Now(), c.cost.InjMBs(len(e.data)))
+	c.w.deliverAt(arrive, dst, e)
+	return txDone
 }
 
 // Recv blocks until the message from src with the given tag has arrived
 // and been processed, and returns its payload. Matching is exact: the
-// paper's benchmarks name both source and tag on every receive.
+// paper's benchmarks name both source and tag on every receive. A
+// receive posted before its message arrives suspends the rank once; the
+// posted receive's handler charges the overhead (see postedRecv.Fire).
 func (c *Comm) Recv(src, tag int) []byte {
 	st := &c.w.ranks[c.rank]
-	e, ok := st.take(src, tag)
-	if !ok {
-		e = st.post(c.w.cluster.Kernel(), src, tag).Await(c.proc)
+	if e, ok := st.take(src, tag); ok {
+		c.proc.Sleep(c.w.cluster.Jitter(c.cost.Recv))
+		return e.data
 	}
-	c.proc.Sleep(c.w.cluster.Jitter(c.cost.Recv))
-	return e.data
+	r := &st.recv
+	r.src, r.tag, r.c, r.waiting = src, tag, c, true
+	c.proc.Suspend("recv")
+	return r.env.data
 }
 
 // Combine implements coll.Transport: it applies the reduction step and

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/coll"
@@ -66,6 +67,9 @@ func TestP2PFIFOPerPair(t *testing.T) {
 	}
 }
 
+// TestP2PUnmatchedRecvDeadlocks: a receive nothing will match leaves its
+// rank suspended with no event queued, and the deadlock report names
+// the rank and what it waits for.
 func TestP2PUnmatchedRecvDeadlocks(t *testing.T) {
 	err := Run(machine.T3D(), 2, 1, func(c *Comm) {
 		if c.Rank() == 1 {
@@ -74,6 +78,9 @@ func TestP2PUnmatchedRecvDeadlocks(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected deadlock error")
+	}
+	if want := "rank-1 (waiting: recv)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("deadlock report %q does not name %q", err, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strconv"
 
 	"repro/internal/machine"
@@ -15,29 +16,34 @@ type envelope struct {
 }
 
 // rankState is the per-node messaging engine: the unexpected-message
-// queue, matched in arrival order as MPI requires, and the rank's posted
-// receive. Receives block, so a rank waits on at most one at a time. It
-// also holds the rank's cost-classed communicator views (see Comm.as).
+// queue, matched in arrival order as MPI requires, the rank's posted
+// receive and its rendezvous send. Both calls block, so a rank has at
+// most one of each in progress. It also holds the rank's cost-classed
+// communicator views (see Comm.as).
 type rankState struct {
 	unexpected []envelope
 	recv       postedRecv
+	send       rendezvous
 	views      []Comm
 }
 
-// postedRecv is a receive awaiting the message from src with tag.
+// postedRecv is a receive waiting for the message from src with tag. It
+// is also the sim.Handler that completes the receive while the rank
+// stays suspended: deliver schedules it at the arrival instant, and
+// Fire charges the receive overhead and wakes the rank once, at its
+// end.
 type postedRecv struct {
 	src, tag int
 	waiting  bool
-	done     sim.Future[envelope]
+	c        *Comm    // the receiving view: its process and op costs
+	env      envelope // the matched message, once delivered
 }
 
-// post makes the rank's receive wait for the message from src with tag
-// and returns the future the message resolves.
-func (rs *rankState) post(k *sim.Kernel, src, tag int) *sim.Future[envelope] {
-	r := &rs.recv
-	r.src, r.tag, r.waiting = src, tag, true
-	r.done.Init(k, "recv")
-	return &r.done
+// Fire implements sim.Handler: it draws the receive overhead and
+// schedules the rank's wakeup after it.
+func (r *postedRecv) Fire() {
+	cl := r.c.w.cluster
+	cl.Kernel().Wake(r.c.proc, cl.Jitter(r.c.cost.Recv))
 }
 
 // deliver hands an arrived message to the posted receive it matches,
@@ -45,10 +51,37 @@ func (rs *rankState) post(k *sim.Kernel, src, tag int) *sim.Future[envelope] {
 func (rs *rankState) deliver(e envelope) {
 	if r := &rs.recv; r.waiting && r.src == e.src && r.tag == e.tag {
 		r.waiting = false
-		r.done.Resolve(e)
+		r.env = e
+		k := r.c.w.cluster.Kernel()
+		k.Schedule(k.Now(), r)
 		return
 	}
 	rs.unexpected = append(rs.unexpected, e)
+}
+
+// rendezvous is a rendezvous send in progress, and the sim.Handler that
+// performs it while the sender stays suspended: Send schedules it for
+// the end of the sender's CPU overhead, and Fire injects the message
+// and wakes the rank once, when the data has left the node.
+type rendezvous struct {
+	c   *Comm // the sending view
+	dst int
+	env envelope
+}
+
+// Fire implements sim.Handler. Injection takes at least one nanosecond
+// for any message above the eager limit (PerByte of a positive size at
+// a positive rate), so the wakeup always lies ahead; a zero-delay one
+// would run the sender ahead of events already queued for this instant.
+func (s *rendezvous) Fire() {
+	c := s.c
+	k := c.w.cluster.Kernel()
+	wait := c.inject(s.dst, s.env).Sub(k.Now())
+	if wait <= 0 {
+		panic(fmt.Sprintf("mpi: %s's rendezvous send of %d bytes left the node in %v: "+
+			"the %s injection rate must be positive", c.proc.Name(), len(s.env.data), wait, c.opClass))
+	}
+	k.Wake(c.proc, wait)
 }
 
 // take removes and returns the first unexpected message from src with

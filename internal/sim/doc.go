@@ -24,18 +24,39 @@
 // An event is a process wakeup or a Handler, whose Fire method the
 // kernel calls at the event's time. Schedule stores a handler by value,
 // so a layer that recycles its handler objects (internal/mpi's message
-// deliveries) schedules without allocating; At adapts a plain func()
-// to the same interface. A parked process records what it waits for as
-// a kind and an object name, joined into text only by a deadlock
-// report.
+// deliveries, posted receives and rendezvous sends) schedules without
+// allocating; At adapts a plain func() to the same interface. A parked
+// process records what it waits for as a kind and an object name,
+// joined into text only by a deadlock report.
+//
+// # Parking and waking
+//
+// A process parks in exactly one place, and three calls lead there:
+//
+//   - Sleep(d) queues the process's own wakeup d from now, then parks.
+//   - Suspend(on) parks with no wakeup queued. Some other context —
+//     usually a Handler the process scheduled just before — later calls
+//     Kernel.Wake(p, d) to queue the wakeup d after its own time.
+//   - Signal.Await suspends until the signal's Resolve wakes every
+//     waiter.
+//
+// Suspend and Wake let a layer finish a process's kernel-side step in
+// an event instead of in the process. internal/mpi uses them so a
+// receive posted before its message arrives, and a rendezvous send,
+// each wake their rank once: the handler that used to wake the rank
+// draws the receive overhead, or injects the message, and wakes the
+// rank only when its own code must run again. Each such handler takes
+// the (time, seq) slot the rank's intermediate wakeup would have taken,
+// so the event order, the random draws and every output are unchanged;
+// only the wakeups, and the goroutine switches behind them, are fewer.
 //
 // # Coordination primitives
 //
-// Future is a single-assignment value processes can wait on (its first
-// waiter is held inline, and Init re-arms a future embedded in a
-// recycled object); Signal is a Future without a payload. With Sleep it
-// is one of the two places a process parks. Both are built on the
-// kernel's wakeup primitive and preserve determinism.
+// Signal is a one-shot broadcast condition processes can wait on. Its
+// first waiter is held inline, and Init re-arms a signal embedded in a
+// recycled object (the T3D hardware barrier alternates two). Await
+// parks as Suspend does and Resolve queues each waiter with Wake, so
+// it adds no park path; waiters wake in the order they began waiting.
 //
 // # Reuse
 //

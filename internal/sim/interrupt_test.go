@@ -8,12 +8,16 @@ import (
 )
 
 // spinUp runs a workload with many parked and running processes: one
-// spinner generating a steady event stream (so interrupt probes fire)
-// and several processes parked forever on an unresolved future.
+// spinner generating a steady event stream (so interrupt probes fire),
+// several processes parked forever on an unresolved signal, and some
+// suspended with no wakeup queued.
 func spinUp(k *Kernel) {
-	f := newFuture[int](k, "never")
+	s := newSignal(k, "never")
 	for i := 0; i < 8; i++ {
-		k.Go("", func(p *Proc) { f.Await(p) })
+		k.Go("", func(p *Proc) { s.Await(p) })
+	}
+	for i := 0; i < 4; i++ {
+		k.Go("", func(p *Proc) { p.Suspend("never woken") })
 	}
 	k.Go("spinner", func(p *Proc) {
 		for {

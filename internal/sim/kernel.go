@@ -137,9 +137,13 @@ func (k *Kernel) Schedule(t Time, h Handler) {
 // time like Schedule.
 func (k *Kernel) At(t Time, fn func()) { k.Schedule(t, funcHandler(fn)) }
 
-// wake schedules p to resume d after the current time, allocating
-// nothing: the wakeup is stored by value in the event queue.
-func (k *Kernel) wake(p *Proc, d Duration) {
+// Wake schedules p to resume d after the current time; a non-positive
+// d resumes it at the current time, after the events already queued
+// there. p must have no wakeup queued: it is about to park (Sleep, a
+// new process) or is suspended (Suspend, Signal.Await) and not yet
+// woken. The wakeup is stored by value in the event queue, allocating
+// nothing.
+func (k *Kernel) Wake(p *Proc, d Duration) {
 	t := k.now
 	if d > 0 {
 		t = t.Add(d)
@@ -243,13 +247,13 @@ func (k *Kernel) parkedNames() string {
 			break
 		}
 		b.WriteString(p.Name())
-		if p.waitKind != "" {
+		if p.waitKind != "" || p.waitOn != "" {
 			b.WriteString(" (waiting: ")
 			b.WriteString(p.waitKind)
-			if p.waitOn != "" {
+			if p.waitKind != "" && p.waitOn != "" {
 				b.WriteString(" ")
-				b.WriteString(p.waitOn)
 			}
+			b.WriteString(p.waitOn)
 			b.WriteString(")")
 		}
 		i++

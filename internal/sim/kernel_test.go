@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// newFuture returns an unresolved future on k, named name.
-func newFuture[T any](k *Kernel, name string) *Future[T] {
-	f := new(Future[T])
-	f.Init(k, name)
-	return f
+// newSignal returns an unresolved signal on k, named name.
+func newSignal(k *Kernel, name string) *Signal {
+	s := new(Signal)
+	s.Init(k, name)
+	return s
 }
 
 func TestEventOrdering(t *testing.T) {
@@ -151,49 +151,50 @@ func TestProcPanicSurfacesAsError(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	k := New(1)
-	f := newFuture[struct{}](k, "never")
-	k.Go("stuck", func(p *Proc) { f.Await(p) })
+	s := newSignal(k, "never")
+	k.Go("stuck", func(p *Proc) { s.Await(p) })
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
 	}
 	// Parking records what it waits for in parts; the report joins them.
-	if want := "stuck (waiting: future never)"; !strings.Contains(err.Error(), want) {
+	if want := "stuck (waiting: signal never)"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("deadlock report %q does not name %q", err, want)
 	}
 }
 
 func TestDeadlockReportNamesAnonymousProcs(t *testing.T) {
 	k := New(1)
-	k.Go("", func(p *Proc) { newFuture[struct{}](k, "x").Await(p) })
-	k.Go("", func(p *Proc) { p.Sleep(1); newFuture[struct{}](k, "y").Await(p) })
+	k.Go("", func(p *Proc) { newSignal(k, "x").Await(p) })
+	k.Go("", func(p *Proc) { p.Sleep(1); newSignal(k, "y").Await(p) })
+	k.Go("", func(p *Proc) { p.Sleep(2); p.Suspend("recv") })
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
 	}
-	for _, want := range []string{"proc-1 (waiting: future x)", "proc-2 (waiting: future y)"} {
+	for _, want := range []string{"proc-1 (waiting: signal x)", "proc-2 (waiting: signal y)", "proc-3 (waiting: recv)"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("deadlock report %q does not name %q", err, want)
 		}
 	}
 }
 
-// TestFutureInitReuse resolves one future twice over, re-armed with
+// TestFutureInitReuse resolves one signal twice over, re-armed with
 // Init in between: both generations wake their waiters (the first held
 // inline, the rest queued) in arrival order.
 func TestFutureInitReuse(t *testing.T) {
 	k := New(1)
-	f := newFuture[int](k, "f")
+	s := newSignal(k, "s")
 	var got []int
-	for gen := 0; gen < 2; gen++ {
+	for gen := 1; gen <= 2; gen++ {
 		for i := 0; i < 3; i++ {
-			k.Go("", func(p *Proc) { got = append(got, 10*f.Await(p)+i) })
+			k.Go("", func(p *Proc) { s.Await(p); got = append(got, 10*gen+i) })
 		}
-		k.At(k.Now().Add(5), func() { f.Resolve(gen + 1) })
+		k.At(k.Now().Add(5), s.Resolve)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		f.Init(k, "f")
+		s.Init(k, "s")
 	}
 	if want := []int{10, 11, 12, 20, 21, 22}; !slices.Equal(got, want) {
 		t.Fatalf("woken in order %v, want %v", got, want)
@@ -262,57 +263,94 @@ func TestEventQueueOrder(t *testing.T) {
 	}
 }
 
+// TestFutureResolveWakesAllFIFO: resolving a signal wakes every
+// waiter at the resolve instant, in the order they began waiting.
 func TestFutureResolveWakesAllFIFO(t *testing.T) {
 	k := New(1)
-	f := newFuture[int](k, "f")
+	s := newSignal(k, "s")
 	var got []int
 	for i := 0; i < 5; i++ {
-		k.Go("", func(p *Proc) { got = append(got, f.Await(p)) })
+		k.Go("", func(p *Proc) {
+			s.Await(p)
+			if p.Now() != 100 {
+				t.Errorf("waiter %d woke at %v, want 100", i, p.Now())
+			}
+			got = append(got, i)
+		})
 	}
-	k.At(100, func() { f.Resolve(42) })
+	k.At(100, s.Resolve)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 5 {
-		t.Fatalf("woke %d waiters, want 5", len(got))
-	}
-	for _, v := range got {
-		if v != 42 {
-			t.Fatalf("value = %d, want 42", v)
-		}
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("woken in order %v, want %v", got, want)
 	}
 }
 
 func TestFutureAwaitAfterResolveDoesNotBlock(t *testing.T) {
 	k := New(1)
-	f := newFuture[string](k, "f")
-	f.Resolve("done")
-	var got string
+	s := newSignal(k, "s")
+	s.Resolve()
+	done := false
 	k.Go("", func(p *Proc) {
 		before := p.Now()
-		got = f.Await(p)
+		s.Await(p)
 		if p.Now() != before {
-			t.Error("Await on resolved future advanced time")
+			t.Error("Await on resolved signal advanced time")
 		}
+		done = true
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != "done" {
-		t.Fatalf("got %q", got)
+	if !done {
+		t.Fatal("waiter never returned")
 	}
 }
 
 func TestFutureDoubleResolvePanics(t *testing.T) {
 	k := New(1)
-	f := newFuture[int](k, "f")
-	f.Resolve(1)
+	s := newSignal(k, "s")
+	s.Resolve()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on double resolve")
 		}
 	}()
-	f.Resolve(2)
+	s.Resolve()
+}
+
+// wakeAfter is a Handler that wakes a suspended process d after the
+// event's time — the shape a layer uses to finish a process's
+// kernel-side step without resuming it in between.
+type wakeAfter struct {
+	k *Kernel
+	p *Proc
+	d Duration
+}
+
+func (w *wakeAfter) Fire() { w.k.Wake(w.p, w.d) }
+
+// TestSuspendWakesOnce: a process that schedules a handler and
+// suspends resumes only at the time the handler's Wake names, at the
+// cost of one wakeup beyond its spawn.
+func TestSuspendWakesOnce(t *testing.T) {
+	k := New(1)
+	var woke Time
+	k.Go("", func(p *Proc) {
+		k.Schedule(10, &wakeAfter{k: k, p: p, d: 5})
+		p.Suspend("handler")
+		woke = p.Now()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != 15 {
+		t.Fatalf("resumed at %v, want 15", woke)
+	}
+	if k.wakeups != 2 || k.executed != 3 {
+		t.Fatalf("%d wakeups and %d events, want 2 and 3 (spawn, handler, wake)", k.wakeups, k.executed)
+	}
 }
 
 func TestPerByte(t *testing.T) {

@@ -3,11 +3,14 @@ package sim
 import "fmt"
 
 // Proc is a simulated process: a goroutine that runs simulated work and
-// blocks on simulated conditions (Sleep, Future.Await).
+// blocks in one of three ways — Sleep (its own wakeup queued), Suspend
+// (no wakeup queued: an event handler queues it later with
+// Kernel.Wake) or Signal.Await (Suspend behind a broadcast condition).
 // At most one process runs at a time; the execution token passes
 // directly between processes (and the Run caller) over unbuffered
 // channels, so process code needs no locking and observes a consistent
-// virtual clock.
+// virtual clock. A process that hands its kernel-side work to a
+// Handler and suspends is woken once, when its own code must run again.
 type Proc struct {
 	k      *Kernel
 	name   string // "" for an anonymous process (see Name)
@@ -15,10 +18,10 @@ type Proc struct {
 	resume chan struct{}
 	done   bool
 
-	// waitKind and waitOn say what a parked process waits for ("future"
-	// and the future's name, or "sleep" and ""). They are kept apart so
-	// parking assigns two strings and builds none; the deadlock report
-	// joins them.
+	// waitKind and waitOn say what a parked process waits for ("signal"
+	// and the signal's name, "sleep" and "", or "" and Suspend's
+	// argument). They are kept apart so parking assigns two strings and
+	// builds none; the deadlock report joins them.
 	waitKind, waitOn string
 }
 
@@ -58,15 +61,16 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	k.wake(p, 0)
+	k.Wake(p, 0)
 	return p
 }
 
 // park hands the execution token onward and blocks until this process's
 // own wakeup event is reached. kind and on record what the process waits
 // for, for deadlock reports. Must be called from within the process
-// itself, with a wakeup for it either already queued or arranged to be
-// scheduled by another context (Future.Resolve).
+// itself, with a wakeup for it either already queued (Sleep) or arranged
+// to be queued by another context with Kernel.Wake (Suspend,
+// Signal.Await). It is the only place a process parks.
 //
 // Fast path: if the next runnable event is this process's own wakeup,
 // park drains the intervening callback events inline and returns
@@ -113,6 +117,13 @@ func (p *Proc) Now() Time { return p.k.now }
 // when no other event precedes it the process resumes without leaving
 // its own goroutine.
 func (p *Proc) Sleep(d Duration) {
-	p.k.wake(p, d)
+	p.k.Wake(p, d)
 	p.park("sleep", "")
 }
+
+// Suspend parks p with no wakeup queued: it resumes only when another
+// context — typically a Handler p scheduled before suspending — calls
+// Kernel.Wake for it. on names what p waits for in deadlock reports.
+// Suspending a process nothing will wake leaves it parked until Run
+// reports the deadlock.
+func (p *Proc) Suspend(on string) { p.park("", on) }
