@@ -166,7 +166,7 @@ func BenchmarkTable3_FitExpressions(b *testing.B) {
 func simTimeWith(mach *machine.Machine, p int, algs mpi.Algorithms, body func(c *mpi.Comm)) float64 {
 	cl := machine.NewCluster(mach, p, 1)
 	var worst sim.Time
-	err := mpi.RunWithAlgorithms(cl, algs, func(c *mpi.Comm) {
+	err := mpi.RunCluster(cl, algs, func(c *mpi.Comm) {
 		body(c)
 		if now := c.Proc().Now(); now > worst {
 			worst = now

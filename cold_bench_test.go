@@ -17,10 +17,26 @@ import (
 // sweeps feeding the Calibrated backend. These quantify all three; BENCH.md
 // tracks the numbers per commit.
 
+// sleeper is a scripted process that sleeps one nanosecond n times.
+type sleeper struct {
+	p sim.Proc
+	n int
+}
+
+func (s *sleeper) Fire() {
+	if s.n == 0 {
+		s.p.Exit()
+		return
+	}
+	s.n--
+	s.p.Sleep(1)
+}
+
 // BenchmarkKernelEvents measures the raw event engine: timer callbacks
-// (one self-rescheduling closure) and process wakeups (sleep/wake cycles
-// through the scheduler), the two event flavors every simulation is made
-// of.
+// (one self-rescheduling closure), goroutine process wakeups
+// (sleep/wake cycles through the scheduler) and scripted process
+// wakeups (the same cycles as handler calls, as replayed ranks make
+// them), the event flavors every simulation is made of.
 func BenchmarkKernelEvents(b *testing.B) {
 	b.Run("callback", func(b *testing.B) {
 		k := sim.New(1)
@@ -49,6 +65,19 @@ func BenchmarkKernelEvents(b *testing.B) {
 					p.Sleep(1)
 				}
 			})
+		}
+		b.ResetTimer()
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("scripted-wakeup", func(b *testing.B) {
+		// The same four interleaved sleepers as scripted processes.
+		k := sim.New(1)
+		sleepers := make([]sleeper, 4)
+		for i := range sleepers {
+			sleepers[i].n = b.N/4 + 1
+			k.Start(&sleepers[i].p, "", &sleepers[i])
 		}
 		b.ResetTimer()
 		if err := k.Run(); err != nil {

@@ -105,7 +105,9 @@ func (c *Cluster) Jitter(d sim.Duration) sim.Duration {
 
 // HardwareBarrierEnter blocks proc until all p nodes have entered the
 // hardwired barrier, then releases everyone after the AND-tree
-// propagation cost. Panics if the machine has no barrier hardware.
+// propagation cost. A scripted process (sim.Kernel.Start) returns at
+// once and is woken at the release. Panics if the machine has no
+// barrier hardware.
 func (c *Cluster) HardwareBarrierEnter(proc *sim.Proc) {
 	if c.hw == nil {
 		panic("machine: " + c.mach.Name() + " has no hardware barrier")

@@ -9,14 +9,14 @@ import (
 )
 
 // TestMeasureAllocBudget counts the allocations of one whole
-// measurement (two executions under Fast, each spawning 32 rank
-// processes) and fails above its budget. The simulator's message path
-// allocates nothing in steady state, so what remains is per execution
-// and per rank (processes, communicators, the collectives' block
-// slices) plus the network's route memo: a per-message allocation would
-// add thousands, a per-call one (a reduction's combiner, the T3D's
-// hardware barrier) hundreds. The counts depend only on the simulated
-// program, not on the host.
+// measurement (one recording of 32 ranks, then two replayed executions
+// under Fast) and fails above its budget. The simulator's message path
+// allocates nothing in steady state, and a recording reuses its pooled
+// buffers, so what remains is per measurement: the recording
+// goroutines and its result, the cluster, the player, the collectives'
+// block slices and the network's route memo. A per-message allocation
+// would add thousands, a per-call or per-step one hundreds. The counts
+// depend only on the simulated program, not on the host.
 func TestMeasureAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own; counts are meaningless")
@@ -26,9 +26,9 @@ func TestMeasureAllocBudget(t *testing.T) {
 		op     machine.Op
 		budget float64
 	}{
-		{machine.T3D(), machine.OpAlltoall, 580},
-		{machine.Paragon(), machine.OpBroadcast, 315},
-		{machine.SP2(), machine.OpReduce, 386},
+		{machine.T3D(), machine.OpAlltoall, 180},
+		{machine.Paragon(), machine.OpBroadcast, 125},
+		{machine.SP2(), machine.OpReduce, 175},
 	} {
 		algs := mpi.DefaultAlgorithms(c.mach)
 		allocs := testing.AllocsPerRun(10, func() {

@@ -15,6 +15,14 @@
 // maximal time "because … it reflects the condition that all processes
 // involved in the machine have finished the operation"; Sample.Micros
 // carries that headline number.
+//
+// The procedure is recorded once per measurement and replayed per
+// execution: each rank's steps of one collective call and of the
+// barrier are recorded with no simulated time (mpi.Record), and every
+// execution replays the plan — the call Warmup times, the barrier, a
+// clock mark, the call K times, a mark — as kernel events (mpi.Player).
+// No rank code runs during an execution, and the numbers are those the
+// rank code itself would produce.
 package measure
 
 import (
@@ -71,27 +79,29 @@ func MeasureOp(mach *machine.Machine, op machine.Op, p, msgLen int, cfg Config) 
 
 // MeasureOpWith is MeasureOp with an explicit algorithm table, used by
 // the sweep engine to compare collective algorithm variants on the same
-// machine. One kernel+cluster serves all executions (reset between
-// repetitions), and the benchmark runs with opaque payloads: the
-// harness's buffers are all zeros and its data is discarded, so the
-// collectives skip payload byte movement while simulating identical
-// timings.
+// machine. It panics on a failed measurement, which with a context that
+// never cancels is a bug in the model.
 func MeasureOpWith(mach *machine.Machine, op machine.Op, p, msgLen int, cfg Config, algs mpi.Algorithms) Sample {
 	s, err := MeasureOpCtx(context.Background(), mach, op, p, msgLen, cfg, algs)
 	if err != nil {
-		// The background context never cancels, and every other failure
-		// already panics inside runOnce.
-		panic(fmt.Sprintf("measure: %s %s p=%d m=%d: %v", mach.Name(), op, p, msgLen, err))
+		panic(err)
 	}
 	return s
 }
 
-// MeasureOpCtx is MeasureOpWith under a cancellable context: the
+// MeasureOpCtx is MeasureOpWith under a cancellable context. It records
+// each rank's steps of one collective call and one barrier once
+// (mpi.Record), then replays the §2 procedure from them for every
+// execution (mpi.Player): the call Warmup times, the barrier, a clock
+// mark, the call K times, a mark. One cluster serves all executions
+// (reset between them), and no rank code runs during a replay. The
 // simulation kernel polls ctx at event-loop drive boundaries
-// (sim.Kernel.SetInterrupt) and a cancellation unwinds the run's rank
-// processes cleanly — no goroutine leaks — returning ctx's error. A
-// context that can never cancel (context.Background()) installs no
-// probe and measures byte-identically to MeasureOpWith.
+// (sim.Kernel.SetInterrupt), so a cancellation stops the replay
+// promptly and returns an error wrapping ctx's. A context that can
+// never cancel (context.Background()) installs no probe and measures
+// byte-identically. Any other failure — a recording or replay that
+// panics or deadlocks — is a bug in the model, returned as an error
+// naming the scenario.
 func MeasureOpCtx(ctx context.Context, mach *machine.Machine, op machine.Op, p, msgLen int, cfg Config, algs mpi.Algorithms) (Sample, error) {
 	if cfg.K < 1 || cfg.Reps < 1 {
 		panic("measure: need K ≥ 1 and Reps ≥ 1")
@@ -99,12 +109,31 @@ func MeasureOpCtx(ctx context.Context, mach *machine.Machine, op machine.Op, p, 
 	if err := ctx.Err(); err != nil {
 		return Sample{}, err
 	}
+	fail := func(err error) (Sample, error) {
+		if errors.Is(err, sim.ErrInterrupted) {
+			return Sample{}, err
+		}
+		return Sample{}, fmt.Errorf("measure: %s %s p=%d m=%d: %w", mach.Name(), op, p, msgLen, err)
+	}
+	prog := newProgram(op, p, msgLen)
+	scripts, err := mpi.Record(mach, p, algs, prog.once, (*mpi.Comm).Barrier)
+	if err != nil {
+		return fail(err)
+	}
+	call := &scripts[0]
+	plan := []mpi.Phase{
+		{Script: call, Times: cfg.Warmup},
+		{Script: &scripts[1], Times: 1},
+		{}, // start-time
+		{Script: call, Times: cfg.K},
+		{}, // end-time
+	}
 	cl := machine.NewCluster(mach, p, cfg.Seed)
 	if ctx.Done() != nil {
 		cl.Kernel().SetInterrupt(ctx.Err)
 	}
-	prog := newProgram(op, p, msgLen, cfg)
-	opt := mpi.RunOptions{Algorithms: algs, OpaquePayloads: true}
+	player := mpi.NewPlayer(cl, plan)
+	micros := make([]float64, p)
 	reps := make([]float64, 0, cfg.Reps)
 	var minSum, meanSum float64
 	for rep := 0; rep < cfg.Reps; rep++ {
@@ -114,13 +143,22 @@ func MeasureOpCtx(ctx context.Context, mach *machine.Machine, op machine.Op, p, 
 			}
 			cl.Reset(cfg.Seed + int64(rep))
 		}
-		r, err := prog.runOnce(cl, opt)
-		if err != nil {
-			return Sample{}, err
+		if err := player.Play(); err != nil {
+			return fail(err)
 		}
-		reps = append(reps, r.Max)
-		minSum += r.Min
-		meanSum += r.Mean
+		// local-time = (end-time − start-time)/k, read on each rank's
+		// own clock; communication-time = maximum-reduce(local-time),
+		// collected host-side so the measurement itself does not
+		// perturb timing (the paper's in-band MPI_Reduce(MPI_MAX) is
+		// timing-equivalent because it happens after end-time is read).
+		for r := range micros {
+			marks := player.Marks(r)
+			micros[r] = (marks[1].Sub(marks[0]) / sim.Duration(cfg.K)).Micros()
+		}
+		s := stats.Summarize(micros)
+		reps = append(reps, s.Max)
+		minSum += s.Min
+		meanSum += s.Mean
 	}
 	agg := stats.Summarize(reps)
 	return Sample{
@@ -130,68 +168,24 @@ func MeasureOpCtx(ctx context.Context, mach *machine.Machine, op machine.Op, p, 
 	}, nil
 }
 
-// program is one measurement's benchmark program, built once and run
-// by every rank of every execution. Its buffers come from the shared
-// zero arena (the run is opaque-payload) and are only read, so the
-// ranks share them and an execution allocates no payload or closure.
+// program is one measurement's collective call, recorded once on every
+// rank. Its buffers come from the shared zero arena (a recording is
+// opaque-payload) and are only read, so the ranks share them.
 type program struct {
 	op     machine.Op
-	cfg    Config
-	msg    []byte         // one rank's message of the paper's m bytes
-	blocks [][]byte       // p such messages, for scatter and all-to-all
-	locals []sim.Duration // each rank's mean time per timed iteration
-	body   func(c *mpi.Comm)
+	msg    []byte   // one rank's message of the paper's m bytes
+	blocks [][]byte // p such messages, for scatter and all-to-all
 }
 
-func newProgram(op machine.Op, p, msgLen int, cfg Config) *program {
-	pr := &program{op: op, cfg: cfg, msg: coll.ZeroBytes(msgLen), locals: make([]sim.Duration, p)}
+func newProgram(op machine.Op, p, msgLen int) *program {
+	pr := &program{op: op, msg: coll.ZeroBytes(msgLen)}
 	if op == machine.OpScatter || op == machine.OpAlltoall {
 		pr.blocks = make([][]byte, p)
 		for i := range pr.blocks {
 			pr.blocks[i] = pr.msg
 		}
 	}
-	pr.body = pr.rank
 	return pr
-}
-
-// runOnce executes the program once on cl and returns the per-rank
-// summary (the paper's min/max/mean over all processes) in µs. An
-// interrupted drive returns the cancellation cause; any other failure
-// (rank panic, deadlock) is a bug in the model and still panics.
-func (pr *program) runOnce(cl *machine.Cluster, opt mpi.RunOptions) (stats.Summary, error) {
-	err := mpi.RunWith(cl, opt, pr.body)
-	if errors.Is(err, sim.ErrInterrupted) {
-		return stats.Summary{}, err
-	}
-	if err != nil {
-		panic(fmt.Sprintf("measure: %s %s p=%d m=%d: %v",
-			cl.Machine().Name(), pr.op, cl.Size(), len(pr.msg), err))
-	}
-	// communication-time = maximum-reduce(local-time). Collected
-	// host-side so the measurement itself does not perturb timing; the
-	// paper's in-band MPI_Reduce(MPI_MAX) is timing-equivalent because
-	// it happens after end-time is read.
-	micros := make([]float64, len(pr.locals))
-	for i, v := range pr.locals {
-		micros[i] = v.Micros()
-	}
-	return stats.Summarize(micros), nil
-}
-
-// rank is one rank's §2 procedure: warm-up iterations, a barrier, then
-// K timed iterations read from the rank's own clock.
-func (pr *program) rank(c *mpi.Comm) {
-	for w := 0; w < pr.cfg.Warmup; w++ {
-		pr.once(c)
-	}
-	c.Barrier()
-	start := c.Wtime()
-	for i := 0; i < pr.cfg.K; i++ {
-		pr.once(c)
-	}
-	end := c.Wtime()
-	pr.locals[c.Rank()] = end.Sub(start) / sim.Duration(pr.cfg.K)
 }
 
 // once executes one instance of the collective with the per-pair

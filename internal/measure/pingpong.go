@@ -21,7 +21,7 @@ func PingPong(mach *machine.Machine, m int, cfg Config) float64 {
 	for rep := 0; rep < cfg.Reps; rep++ {
 		cl := machine.NewCluster(mach, 2, cfg.Seed+int64(rep))
 		var oneWay float64
-		err := mpi.RunCluster(cl, func(c *mpi.Comm) {
+		err := mpi.RunCluster(cl, mpi.Algorithms{}, func(c *mpi.Comm) {
 			buf := make([]byte, m)
 			for w := 0; w < cfg.Warmup; w++ {
 				bounce(c, buf)

@@ -116,7 +116,11 @@ func lookup[V any](reg map[string]V, name, what string) V {
 func (c *Comm) enter(op machine.Op) *Comm {
 	v := c.as(op)
 	if cost := v.cost.Call; cost > 0 {
-		c.proc.Sleep(c.w.cluster.Jitter(cost))
+		if rec := c.w.rec; rec != nil {
+			rec.add(c.rank, step{kind: stepCall, cost: v.cost})
+		} else {
+			c.proc.Sleep(c.w.cluster.Jitter(cost))
+		}
 	}
 	return v
 }
@@ -126,6 +130,13 @@ func (c *Comm) enter(op machine.Op) *Comm {
 // message-based algorithm from the coll package.
 func (c *Comm) Barrier() {
 	if c.w.algs.Barrier == coll.AlgHardware {
+		if rec := c.w.rec; rec != nil {
+			if !c.w.mach.HardwareBarrier() {
+				panic("mpi: " + c.w.mach.Name() + " has no hardware barrier")
+			}
+			rec.add(c.rank, step{kind: stepBarrier})
+			return
+		}
 		c.w.cluster.HardwareBarrierEnter(c.proc)
 		return
 	}

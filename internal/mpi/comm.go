@@ -9,7 +9,9 @@ import (
 // Comm is a rank's handle on MPI_COMM_WORLD, the only communicator the
 // paper's benchmarks use. It implements coll.Transport, so the
 // collective algorithms run directly over it with per-operation costs
-// read from the machine model's resolved tables (machine.Costs).
+// read from the machine model's resolved tables (machine.Costs). While
+// recording (Record) the same calls append the rank's steps instead of
+// simulating them.
 type Comm struct {
 	w       *World
 	rank    int
@@ -26,18 +28,37 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of processes.
 func (c *Comm) Size() int { return len(c.w.ranks) }
 
-// Proc returns the underlying simulated process.
-func (c *Comm) Proc() *sim.Proc { return c.proc }
+// Proc returns the underlying simulated process. A recorded rank has
+// none, so Proc panics while recording.
+func (c *Comm) Proc() *sim.Proc {
+	if c.w.rec != nil {
+		panic(clockReadError("Proc"))
+	}
+	return c.proc
+}
 
 // Wtime returns this node's wall-clock reading — like MPI_Wtime it uses
 // the node's own unsynchronized clock, so differences are only
 // meaningful within one rank (the reason behind the paper's max-reduce
-// measurement procedure).
-func (c *Comm) Wtime() sim.Time { return c.w.cluster.LocalClock(c.rank) }
+// measurement procedure). While recording it returns 0 and records a
+// mark, which a replay reads as the rank's clock at that step.
+func (c *Comm) Wtime() sim.Time {
+	if c.w.rec != nil {
+		c.w.rec.add(c.rank, step{kind: stepMark})
+		return 0
+	}
+	return c.w.cluster.LocalClock(c.rank)
+}
 
 // Compute occupies this rank's CPU for d of simulated time, modeling
-// application computation between communication phases.
-func (c *Comm) Compute(d sim.Duration) { c.proc.Sleep(d) }
+// application computation between communication phases. It panics while
+// recording: a script replays communication only.
+func (c *Comm) Compute(d sim.Duration) {
+	if c.w.rec != nil {
+		panic(clockReadError("Compute"))
+	}
+	c.proc.Sleep(d)
+}
 
 // as returns a view of the communicator with the cost class set, under
 // which Send/Recv/Combine charge that operation's calibrated overheads.
@@ -56,7 +77,7 @@ func (c *Comm) as(op machine.Op) *Comm {
 	}
 	st.views = append(st.views, *c)
 	v := &st.views[len(st.views)-1]
-	v.opClass, v.cost = op, c.w.cluster.Machine().Costs(op)
+	v.opClass, v.cost = op, c.w.mach.Costs(op)
 	return v
 }
 
@@ -69,28 +90,19 @@ func (c *Comm) as(op machine.Op) *Comm {
 // arbitrarily far ahead. The rank suspends once for the whole
 // rendezvous; its handler injects the message (see rendezvous.Fire).
 func (c *Comm) Send(dst, tag int, data []byte) {
+	if rec := c.w.rec; rec != nil {
+		rec.send(c, dst, tag, data)
+		return
+	}
+	st := &c.w.ranks[c.rank]
 	overhead := c.w.cluster.Jitter(c.cost.Send)
 	e := envelope{src: c.rank, tag: tag, data: data}
 	if len(data) <= c.w.eagerLimit {
 		c.proc.Sleep(overhead)
-		c.inject(dst, e)
+		st.inject(c.cost, dst, e)
 		return
 	}
-	s := &c.w.ranks[c.rank].send
-	s.c, s.dst, s.env = c, dst, e
-	k := c.w.cluster.Kernel()
-	k.Schedule(k.Now().Add(overhead), s)
-	c.proc.Suspend("send")
-}
-
-// inject hands e to the network at the current time and schedules its
-// arrival at dst. It returns the time the data has left the node.
-func (c *Comm) inject(dst int, e envelope) sim.Time {
-	cl := c.w.cluster
-	txDone, arrive := cl.Net().Transfer(
-		c.rank, dst, len(e.data), cl.Kernel().Now(), c.cost.InjMBs(len(e.data)))
-	c.w.deliverAt(arrive, dst, e)
-	return txDone
+	st.startRendezvous(c.cost, dst, e, overhead)
 }
 
 // Recv blocks until the message from src with the given tag has arrived
@@ -99,15 +111,10 @@ func (c *Comm) inject(dst int, e envelope) sim.Time {
 // receive posted before its message arrives suspends the rank once; the
 // posted receive's handler charges the overhead (see postedRecv.Fire).
 func (c *Comm) Recv(src, tag int) []byte {
-	st := &c.w.ranks[c.rank]
-	if e, ok := st.take(src, tag); ok {
-		c.proc.Sleep(c.w.cluster.Jitter(c.cost.Recv))
-		return e.data
+	if rec := c.w.rec; rec != nil {
+		return rec.recv(c, src, tag)
 	}
-	r := &st.recv
-	r.src, r.tag, r.c, r.waiting = src, tag, c, true
-	c.proc.Suspend("recv")
-	return r.env.data
+	return c.w.ranks[c.rank].receive(src, tag, c.cost)
 }
 
 // Combine implements coll.Transport: it applies the reduction step and
@@ -116,7 +123,11 @@ func (c *Comm) Recv(src, tag int) []byte {
 // the merged operand has a's length either way.
 func (c *Comm) Combine(a, b []byte, f coll.Combiner) []byte {
 	if cost := c.cost.Combine(len(a)); cost > 0 {
-		c.proc.Sleep(c.w.cluster.Jitter(cost))
+		if rec := c.w.rec; rec != nil {
+			rec.add(c.rank, step{kind: stepCombine, n: int32(len(a)), cost: c.cost})
+		} else {
+			c.proc.Sleep(c.w.cluster.Jitter(cost))
+		}
 	}
 	if c.w.opaque {
 		return a
@@ -125,5 +136,6 @@ func (c *Comm) Combine(a, b []byte, f coll.Combiner) []byte {
 }
 
 // OpaquePayloads implements coll.OpaqueTransport: it reports whether
-// this world runs with length-only payloads (RunOptions.OpaquePayloads).
+// this world runs with length-only payloads, as a recording does (its
+// rank bodies' buffers are all zeros and their results discarded).
 func (c *Comm) OpaquePayloads() bool { return c.w.opaque }

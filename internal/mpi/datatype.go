@@ -8,6 +8,30 @@
 // gatherv the STAP pipeline uses), with MPI_SUM over MPI_FLOAT as the
 // one reduction (§2: "the data type of the message elements is always
 // MPI_FLOAT").
+//
+// A program runs in one of two ways:
+//
+//   - Goroutine ranks (Run, RunCluster): each rank is a goroutine
+//     process running the program's code, so it may read the clock and
+//     real payloads at any point. STAP, ping-pong, the examples and the
+//     tests run this way.
+//   - Scripted ranks (Record, then Player): the program runs once per
+//     rank with no simulated time, over an in-memory exact-match queue
+//     with opaque payloads, and each rank's steps — sends, receives,
+//     combines, collective entries, hardware barriers, Wtime marks — are
+//     recorded with their cost class and length. A Player then replays
+//     a plan of such scripts (each repeated as often as asked, with
+//     clock marks between) as scripted processes of the sim kernel. The
+//     collectives are deterministic in (operation, algorithm, p, m) and
+//     every receive names its source and tag, so the steps do not
+//     depend on timing; the replay draws the same jitters, pushes the
+//     same events and reproduces the goroutine run bit for bit. The
+//     measurement harness (internal/measure) runs every execution so.
+//
+// Both share one Comm, one collective dispatch and one copy of every
+// kernel-side step: message delivery and matching, injection, the
+// posted receive's and the rendezvous send's handlers, and the T3D
+// hardware barrier.
 package mpi
 
 import (

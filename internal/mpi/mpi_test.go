@@ -366,7 +366,7 @@ func TestAlgorithmOverride(t *testing.T) {
 		algs := DefaultAlgorithms(machine.SP2())
 		algs.Bcast = alg
 		var done sim.Time
-		if err := RunWithAlgorithms(cl, algs, func(c *Comm) {
+		if err := RunCluster(cl, algs, func(c *Comm) {
 			var in []byte
 			if c.Rank() == 0 {
 				in = make([]byte, 1024)

@@ -33,7 +33,7 @@ func mixedReceives(t *testing.T, cl *machine.Cluster) []received {
 	t.Helper()
 	var got []received
 	queued, posted := 0, 0 // receives that found their message waiting, and that had to wait
-	err := RunCluster(cl, func(c *Comm) {
+	err := RunCluster(cl, Algorithms{}, func(c *Comm) {
 		r := c.Rank()
 		if r != 0 {
 			for i := 0; i < 4; i++ {
@@ -101,7 +101,7 @@ func TestResetClusterReceivesMatchFresh(t *testing.T) {
 func halfMatches(t *testing.T, cl *machine.Cluster) []string {
 	t.Helper()
 	var log []string
-	err := RunCluster(cl, func(c *Comm) {
+	err := RunCluster(cl, Algorithms{}, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			for _, st := range [][2]int{{1, 7}, {1, 8}, {2, 7}} {

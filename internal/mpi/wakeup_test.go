@@ -167,7 +167,7 @@ func TestInterruptUnwindsSuspendedRanks(t *testing.T) {
 		return cause
 	})
 	msg := make([]byte, 64<<10)
-	err := RunCluster(cl, func(c *Comm) {
+	err := RunCluster(cl, Algorithms{}, func(c *Comm) {
 		r := c.Rank()
 		w = c.w
 		if r%2 == 1 {

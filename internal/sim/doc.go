@@ -5,21 +5,31 @@
 //
 // The Kernel owns a virtual clock and an event queue and advances time
 // by executing events in (time, sequence) order. Simulated activity is
-// written either as plain event callbacks or as blocking processes
-// (Proc) — each process is a goroutine resumed and parked under a
-// strict one-runner handshake, so execution is sequential and fully
-// deterministic whatever the host scheduler does.
+// written as plain event callbacks or as processes (Proc) of two kinds:
+//
+//   - A goroutine process (Kernel.Go) runs blocking code, resumed and
+//     parked under a strict one-runner handshake, so execution is
+//     sequential and fully deterministic whatever the host scheduler
+//     does.
+//   - A scripted process (Kernel.Start) has no goroutine: a Handler
+//     carries its work, and each of its wakeups calls Fire on the
+//     kernel's own loop. A handler can carry a whole rank this way:
+//     internal/mpi replays a recorded rank's steps in one, so the
+//     measurement harness simulates with no goroutine per rank and no
+//     process switch.
 //
 // Internally the kernel uses direct-switch scheduling: exactly one
-// goroutine — the Run caller or one simulated process — holds the
+// goroutine — the Run caller or one goroutine process — holds the
 // execution token at any time, and whoever holds it drains the event
-// queue. Callback events run inline on the token holder; a process
-// wakeup hands the token straight to that process's goroutine, so a
-// process switch costs a single channel synchronization and a process
-// whose own wakeup is the next event keeps running with no switch at
-// all. Events live by value in a slot-recycled 4-ary heap whose entries
-// carry their (time, seq) keys inline, so sifts never leave the heap
-// array and the steady state allocates nothing.
+// queue. Callback events and scripted processes run inline on the token
+// holder; a goroutine process's wakeup hands the token straight to that
+// process's goroutine, so a process switch costs a single channel
+// synchronization and a process whose own wakeup is the next event
+// keeps running with no switch at all. Only those wakeups count as
+// process wakeups (KernelWakeups); every event counts toward
+// KernelEvents. Events live by value in a slot-recycled 4-ary heap whose
+// entries carry their (time, seq) keys inline, so sifts never leave the
+// heap array and the steady state allocates nothing.
 //
 // An event is a process wakeup or a Handler, whose Fire method the
 // kernel calls at the event's time. Schedule stores a handler by value,
@@ -29,9 +39,17 @@
 // process records what it waits for as a kind and an object name,
 // joined into text only by a deadlock report.
 //
+// A panic in a process, or in any handler's Fire whichever goroutine
+// holds the token, fails the drive: it is recovered where it happens,
+// recorded (a process's panic names the process; any other reads
+// "sim: handler panicked"), and every live process unwinds as on an
+// interrupt before RunUntil returns the error.
+//
 // # Parking and waking
 //
-// A process parks in exactly one place, and three calls lead there:
+// A goroutine process parks in exactly one place, and three calls lead
+// there (a scripted process only records the wait, and its handler
+// returns):
 //
 //   - Sleep(d) queues the process's own wakeup d from now, then parks.
 //   - Suspend(on) parks with no wakeup queued. Some other context —
@@ -60,11 +78,10 @@
 //
 // # Reuse
 //
-// Kernel.Reset rewinds the clock and clears the queue without
-// releasing the process goroutines' stacks, so measurement harnesses
-// (internal/measure) reuse one kernel — and one machine.Cluster —
-// across benchmark repetitions instead of rebuilding the world; see
-// also machine.Cluster.Reset. Determinism is enforced by the
+// Kernel.Reset rewinds the clock and clears the queue while keeping its
+// storage, so measurement harnesses (internal/measure) reuse one kernel
+// — and one machine.Cluster — across benchmark repetitions instead of
+// rebuilding the world; see also machine.Cluster.Reset. Determinism is enforced by the
 // repository-root determinism tests, which byte-compare sweep reports
 // and calibrated fits against committed goldens.
 package sim

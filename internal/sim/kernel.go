@@ -24,13 +24,13 @@ const interruptStride = 2048
 // all simulated activity is serialized through Run.
 //
 // Internally the kernel uses direct-switch scheduling: exactly one
-// goroutine — the Run caller or one simulated process — holds the
+// goroutine — the Run caller or one goroutine process — holds the
 // execution token at any time, and whoever holds it drains the event
-// queue. Callback events run inline on the token holder; a process
-// wakeup hands the token straight to that process's goroutine, so a
-// process switch costs a single channel synchronization, and a process
-// whose own wakeup is the next event simply keeps running with no
-// switch at all.
+// queue. Callback events and scripted processes' wakeups run inline on
+// the token holder; a goroutine process's wakeup hands the token
+// straight to that process's goroutine, so a process switch costs a
+// single channel synchronization, and a process whose own wakeup is the
+// next event simply keeps running with no switch at all.
 type Kernel struct {
 	now    Time
 	events eventQueue
@@ -53,8 +53,9 @@ type Kernel struct {
 	yield chan struct{}
 
 	procs    map[*Proc]struct{} // live (spawned, not finished) processes
+	firing   *Proc              // the scripted process whose Fire runs, if any
 	procSeq  int
-	failure  error // first process panic, if any
+	failure  error // first panic or interrupt of the drive, if any
 	rng      *rand.Rand
 	executed uint64
 	wakeups  uint64
@@ -79,13 +80,17 @@ func New(seed int64) *Kernel {
 // zero, empty event queue, reseeded RNG, counters cleared — while
 // keeping the event queue's storage for reuse. It is the cheap way to
 // run many independent executions (the §2 benchmark repetitions) on one
-// kernel. Resetting a kernel whose processes are still live (Run
-// returned an error, or was never driven to completion) panics: their
-// goroutines are parked and cannot be reclaimed.
+// kernel. Resetting a kernel whose goroutine processes are still live
+// (a deadlocked drive, or one never driven to completion) panics: their
+// goroutines are parked and cannot be reclaimed. Live scripted
+// processes hold no goroutine and are dropped.
 func (k *Kernel) Reset(seed int64) {
-	if n := len(k.procs); n > 0 {
-		panic(fmt.Sprintf("sim: Reset with %d live process(es): %s", n, k.parkedNames()))
+	for p := range k.procs {
+		if p.h == nil {
+			panic(fmt.Sprintf("sim: Reset with %d live process(es): %s", len(k.procs), k.parkedNames()))
+		}
 	}
+	clear(k.procs)
 	k.flushCounters()
 	k.now = 0
 	k.seq = 0
@@ -142,24 +147,31 @@ func (k *Kernel) At(t Time, fn func()) { k.Schedule(t, funcHandler(fn)) }
 // there. p must have no wakeup queued: it is about to park (Sleep, a
 // new process) or is suspended (Suspend, Signal.Await) and not yet
 // woken. The wakeup is stored by value in the event queue, allocating
-// nothing.
+// nothing. Only a goroutine process's wakeup counts toward
+// KernelWakeups.
 func (k *Kernel) Wake(p *Proc, d Duration) {
 	t := k.now
 	if d > 0 {
 		t = t.Add(d)
 	}
 	k.seq++
-	k.wakeups++
+	if p.h == nil {
+		k.wakeups++
+	}
 	k.events.push(t, k.seq, event{proc: p})
 }
 
 // Run executes events until the queue is empty. It returns an error if a
-// process panicked, or if the queue drained while processes were still
-// parked (a deadlock in the simulated system).
+// process or handler panicked, or if the queue drained while processes
+// were still parked (a deadlock in the simulated system).
 func (k *Kernel) Run() error { return k.RunUntil(Time(1<<63 - 1)) }
 
 // RunUntil executes events with time ≤ deadline. The clock stops at the
-// last executed event (it does not jump to the deadline).
+// last executed event (it does not jump to the deadline). A panic in a
+// process, or in a Handler's Fire on whichever goroutine holds the
+// token, is the drive's failure: RunUntil returns it as an error (a
+// process's names the process; any other handler's reads "sim: handler
+// panicked") after every live process has unwound.
 func (k *Kernel) RunUntil(deadline Time) error {
 	k.deadline = deadline
 	for {
@@ -182,22 +194,36 @@ func (k *Kernel) RunUntil(deadline Time) error {
 	return nil
 }
 
-// next drains callback events inline and returns the next process to
-// hand the token to, or nil when driving must stop (queue drained,
-// deadline reached, or failure recorded). During cancellation it stops
-// executing events and instead hands back live processes one at a time
-// so each can unwind (panic out of park with interruptPanic).
-func (k *Kernel) next() *Proc {
-	if k.canceling {
-		return k.anyProc()
-	}
-	for k.failure == nil {
+// next drains callback events and scripted processes' wakeups inline
+// and returns the next goroutine process to hand the token to, or nil
+// when driving must stop (queue drained or deadline reached). A failure
+// (a panic, or an interrupt) cancels the drive: next stops executing
+// events and instead hands back live processes one at a time so each
+// can unwind (panic out of park with interruptPanic).
+//
+// A panic in a Handler's Fire is recovered here, on whichever goroutine
+// holds the token, and recorded as the drive's failure: the panic of
+// the scripted process being fired, or a handler's. So the failure
+// never names a bystander process and never escapes RunUntil.
+func (k *Kernel) next() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			if k.failure == nil {
+				if p := k.firing; p != nil {
+					k.failure = fmt.Errorf("sim: process %q panicked: %v", p.Name(), r)
+				} else {
+					k.failure = fmt.Errorf("sim: handler panicked: %v", r)
+				}
+			}
+			next = k.next()
+		}
+	}()
+	for !k.canceling && k.failure == nil {
 		if k.interrupt != nil && k.executed >= k.nextProbe {
 			k.nextProbe = k.executed + interruptStride
 			if err := k.interrupt(); err != nil {
-				k.canceling = true
 				k.failure = fmt.Errorf("%w: %w", ErrInterrupted, err)
-				return k.anyProc()
+				break
 			}
 		}
 		if k.events.len() == 0 || k.events.minTime() > k.deadline {
@@ -206,22 +232,32 @@ func (k *Kernel) next() *Proc {
 		at, e := k.events.pop()
 		k.now = at
 		k.executed++
-		if e.proc != nil {
-			if e.proc.done {
-				continue
-			}
-			return e.proc
+		switch p := e.proc; {
+		case p == nil:
+			k.firing = nil
+			e.h.Fire()
+		case p.done:
+		case p.h != nil:
+			p.waitKind, p.waitOn = "", ""
+			k.firing = p
+			p.h.Fire()
+		default:
+			return p
 		}
-		e.h.Fire()
 	}
-	return nil
+	k.canceling = true
+	return k.unwinding()
 }
 
-// anyProc returns one live process to resume for unwinding, or nil when
-// all have exited (the cancellation is complete).
-func (k *Kernel) anyProc() *Proc {
+// unwinding returns one live goroutine process to resume so it can
+// unwind, or nil when all have exited (the cancellation is complete).
+// Scripted processes have nothing to unwind; it retires them.
+func (k *Kernel) unwinding() *Proc {
 	for p := range k.procs {
-		return p
+		if p.h == nil {
+			return p
+		}
+		p.Exit()
 	}
 	return nil
 }

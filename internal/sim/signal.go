@@ -40,9 +40,14 @@ func (s *Signal) Resolve() {
 }
 
 // Await suspends p until the signal resolves. If it is already resolved
-// Await returns immediately without yielding.
+// a goroutine process returns immediately without yielding, and a
+// scripted one is woken at once, so its handler returns and fires again
+// either way.
 func (s *Signal) Await(p *Proc) {
 	if s.resolved {
+		if p.h != nil {
+			s.k.Wake(p, 0)
+		}
 		return
 	}
 	if s.first == nil {
